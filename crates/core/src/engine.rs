@@ -22,12 +22,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bit-exact hash key for a predicate, so identical predicates appearing in
-/// several DNF clauses share one index query per [`MixedQueryEngine::query`]
-/// call. Encodes the measure discriminant, then every float as its IEEE-754
-/// bit pattern (`f64::to_bits`), so `-0.0 != 0.0` keys differ — a false
-/// negative only costs a redundant query, never a wrong answer.
+/// several DNF clauses share one slot of a [`Dnf`] (one index query per
+/// evaluation) and one [`MaskCache`] entry. Encodes the measure
+/// discriminant, then every float as its IEEE-754 bit pattern
+/// (`f64::to_bits`), so `-0.0 != 0.0` keys differ — a false negative only
+/// costs a redundant query, never a wrong answer. Called only by
+/// [`Dnf::compile`].
 fn predicate_key(pred: &Predicate) -> Vec<u64> {
-    let mut key = Vec::new();
+    let body = match &pred.measure {
+        MeasureFunction::Percentile(r) => 2 * r.dim(),
+        MeasureFunction::TopK { v, .. } => v.len(),
+    };
+    let mut key = Vec::with_capacity(body + 4);
     match &pred.measure {
         MeasureFunction::Percentile(r) => {
             key.push(0);
@@ -48,6 +54,60 @@ fn predicate_key(pred: &Predicate) -> Vec<u64> {
     key
 }
 
+/// An expression compiled for evaluation: its DNF as clauses of indexes
+/// into a table of distinct predicates (deduplicated by bit-exact
+/// [`predicate_key`], computed once per entry). DNF expansion repeats
+/// predicates across clauses — distributing `p ∧ (q ∨ r)` puts `p` in both
+/// clauses — and each table entry is evaluated at most once per engine
+/// per query.
+#[derive(Debug)]
+pub(crate) struct Dnf {
+    /// Distinct predicates, in first-occurrence order.
+    pub(crate) preds: Vec<Predicate>,
+    /// `keys[i]` is the cache key of `preds[i]`.
+    pub(crate) keys: Vec<Vec<u64>>,
+    /// Conjunctive clauses as indexes into `preds`.
+    pub(crate) clauses: Vec<Vec<usize>>,
+}
+
+impl Dnf {
+    /// Schema-checks `expr` against `dim` (skipped when `None`: a service
+    /// with no shard has no schema to violate), then expands it and
+    /// deduplicates its predicates. The check runs first, so a mismatched
+    /// expression is never expanded.
+    pub(crate) fn compile(expr: &LogicalExpr, dim: Option<usize>) -> Result<Self, EngineError> {
+        if let Some(dim) = dim {
+            check_schema(expr, dim)?;
+        }
+        let mut slots: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut preds = Vec::new();
+        let clauses = expr
+            .to_dnf()
+            .into_iter()
+            .map(|clause| {
+                clause
+                    .into_iter()
+                    .map(|p| {
+                        *slots.entry(predicate_key(&p)).or_insert_with(|| {
+                            preds.push(p);
+                            preds.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut keys = vec![Vec::new(); preds.len()];
+        for (key, i) in slots {
+            keys[i] = key;
+        }
+        Ok(Dnf {
+            preds,
+            keys,
+            clauses,
+        })
+    }
+}
+
 /// Errors answering a mixed expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
@@ -55,9 +115,8 @@ pub enum EngineError {
     MissingRank(usize),
     /// A predicate's dimensionality (rectangle facets or preference-vector
     /// length) does not match the engine's schema dimension. Returned by
-    /// the `try_query*` paths and by [`MixedQueryEngine::schema_check`];
-    /// the checked paths surface it instead of panicking deep inside the
-    /// underlying indexes.
+    /// every query path and by [`MixedQueryEngine::schema_check`] instead
+    /// of panicking deep inside the underlying indexes.
     DimensionMismatch {
         /// The schema dimension the engine was built over.
         expected: usize,
@@ -87,21 +146,26 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// The first predicate in `expr` whose dimensionality disagrees with
-/// `dim`, as `(expected, got)`. Percentile predicates carry their
+/// Checks every predicate's dimensionality against the schema dimension
+/// `dim`, reporting the first mismatch (in expression order) as a typed
+/// [`EngineError::DimensionMismatch`]. Percentile predicates carry their
 /// rectangle's facet count, preference predicates their direction-vector
 /// length.
-pub(crate) fn expr_dim_mismatch(expr: &LogicalExpr, dim: usize) -> Option<(usize, usize)> {
+pub(crate) fn check_schema(expr: &LogicalExpr, dim: usize) -> Result<(), EngineError> {
     match expr {
         LogicalExpr::Pred(p) => {
             let got = match &p.measure {
                 MeasureFunction::Percentile(r) => r.dim(),
                 MeasureFunction::TopK { v, .. } => v.len(),
             };
-            (got != dim).then_some((dim, got))
+            if got == dim {
+                Ok(())
+            } else {
+                Err(EngineError::DimensionMismatch { expected: dim, got })
+            }
         }
         LogicalExpr::And(xs) | LogicalExpr::Or(xs) => {
-            xs.iter().find_map(|x| expr_dim_mismatch(x, dim))
+            xs.iter().try_for_each(|x| check_schema(x, dim))
         }
     }
 }
@@ -223,25 +287,18 @@ impl MixedQueryEngine {
     }
 
     /// The schema dimension `d` the engine was built over. Every
-    /// predicate in a query must carry this dimensionality; the
-    /// `try_query*` paths reject mismatches with a typed
+    /// predicate in a query must carry this dimensionality; every query
+    /// path rejects mismatches with a typed
     /// [`EngineError::DimensionMismatch`].
     pub fn dim(&self) -> usize {
         self.ptile.dim()
     }
 
     /// Checks every expression's predicate dimensionalities against the
-    /// engine schema, reporting the first mismatch as a typed error. The
-    /// serving tier runs this up front so a whole request (batches
-    /// included) is rejected all-or-nothing before any index is touched.
+    /// engine schema, reporting the first mismatch as a typed error —
+    /// the check every query path runs before touching an index.
     pub fn schema_check(&self, exprs: &[LogicalExpr]) -> Result<(), EngineError> {
-        let dim = self.dim();
-        for expr in exprs {
-            if let Some((expected, got)) = expr_dim_mismatch(expr, dim) {
-                return Err(EngineError::DimensionMismatch { expected, got });
-            }
-        }
-        Ok(())
+        exprs.iter().try_for_each(|e| check_schema(e, self.dim()))
     }
 
     /// Total underlying index queries issued so far. DNF expansion can
@@ -286,46 +343,28 @@ impl MixedQueryEngine {
 
     /// Answers a logical expression over percentile and preference
     /// predicates: a superset of `q_Π(P)`, every reported dataset within
-    /// each touched predicate's band.
+    /// each touched predicate's band. A predicate of the wrong
+    /// dimensionality yields [`EngineError::DimensionMismatch`] instead of
+    /// a panic inside the underlying indexes.
     ///
     /// Read-only: the engine can be shared (`&self`, e.g. behind an `Arc`)
     /// across query threads. Allocates a fresh [`QueryScratch`] per call;
-    /// query loops should prefer [`query_with`](Self::query_with).
-    ///
-    /// Equivalent to [`try_query`](Self::try_query): the historical
-    /// dimension *asserts* in the underlying indexes are wrapped by the
-    /// typed [`EngineError::DimensionMismatch`] check, so a mismatched
-    /// expression errs instead of panicking.
+    /// query loops should prefer [`query_with`](Self::query_with). Never
+    /// consults the cross-call [`MaskCache`]: every call queries the
+    /// underlying indexes.
     pub fn query(&self, expr: &LogicalExpr) -> Result<Vec<usize>, EngineError> {
-        self.try_query(expr)
+        self.query_with(expr, &mut QueryScratch::new())
     }
 
     /// [`query`](Self::query) with caller-provided scratch: identical
-    /// answers; the reported flags, DNF accumulators, predicate-mask memo
-    /// table and the lifted orthant buffers are all reused across calls.
+    /// answers; the reported flags, DNF accumulators, predicate-mask slots
+    /// and the lifted orthant buffers are all reused across calls.
     pub fn query_with(
         &self,
         expr: &LogicalExpr,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<usize>, EngineError> {
-        self.try_query_with(expr, scratch)
-    }
-
-    /// The fallible single-expression path: schema-checks the expression
-    /// ([`EngineError::DimensionMismatch`] on a wrong-dimension predicate),
-    /// then answers it.
-    pub fn try_query(&self, expr: &LogicalExpr) -> Result<Vec<usize>, EngineError> {
-        self.try_query_with(expr, &mut QueryScratch::new())
-    }
-
-    /// [`try_query`](Self::try_query) with caller-provided scratch.
-    pub fn try_query_with(
-        &self,
-        expr: &LogicalExpr,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<usize>, EngineError> {
-        self.schema_check(std::slice::from_ref(expr))?;
-        self.query_inner(&expr.to_dnf(), scratch, None)
+        self.query_inner(&Dnf::compile(expr, Some(self.dim()))?, scratch, None)
     }
 
     /// Answers a slice of expressions with the default worker pool
@@ -333,14 +372,16 @@ impl MixedQueryEngine {
     /// override): per-worker reusable scratch, plus the engine's
     /// **cross-call** [`MaskCache`] so predicates repeated across the batch
     /// — or across *earlier batches* — query their underlying index once
-    /// per cache residency.
+    /// per cache residency. Each expression is schema-checked on its own:
+    /// a wrong-dimension expression yields `Err(DimensionMismatch)` *in its
+    /// slot* while the rest of the batch is still answered.
     ///
     /// Results come back in input order and are **bit-identical** to calling
     /// [`query`](Self::query) on each expression sequentially, for every
     /// thread count (pinned by `tests/batch_equivalence.rs`): cached masks
     /// are exactly the masks the indexes would recompute.
     pub fn query_batch(&self, exprs: &[LogicalExpr]) -> Vec<Result<Vec<usize>, EngineError>> {
-        self.try_query_batch(exprs)
+        self.query_batch_opts(exprs, &BuildOptions::default())
     }
 
     /// [`query_batch`](Self::query_batch) with an explicit worker-pool
@@ -350,93 +391,63 @@ impl MixedQueryEngine {
         exprs: &[LogicalExpr],
         opts: &BuildOptions,
     ) -> Vec<Result<Vec<usize>, EngineError>> {
-        self.try_query_batch_opts(exprs, opts)
-    }
-
-    /// The fallible batch path: each expression is schema-checked
-    /// independently, so a wrong-dimension expression yields
-    /// `Err(DimensionMismatch)` *in its slot* while the rest of the batch
-    /// is still answered (input-ordered, like every batch path).
-    pub fn try_query_batch(&self, exprs: &[LogicalExpr]) -> Vec<Result<Vec<usize>, EngineError>> {
-        self.try_query_batch_opts(exprs, &BuildOptions::default())
-    }
-
-    /// [`try_query_batch`](Self::try_query_batch) with an explicit
-    /// worker-pool configuration.
-    pub fn try_query_batch_opts(
-        &self,
-        exprs: &[LogicalExpr],
-        opts: &BuildOptions,
-    ) -> Vec<Result<Vec<usize>, EngineError>> {
-        let dim = self.dim();
         par_map_with(opts, exprs, QueryScratch::new, |scratch, _, expr| {
-            if let Some((expected, got)) = expr_dim_mismatch(expr, dim) {
-                return Err(EngineError::DimensionMismatch { expected, got });
-            }
-            self.query_inner(&expr.to_dnf(), scratch, Some(&self.mask_cache))
+            let dnf = Dnf::compile(expr, Some(self.dim()))?;
+            self.query_inner(&dnf, scratch, Some(&self.mask_cache))
         })
     }
 
-    /// [`query_with`](Self::query_with) on a pre-expanded DNF, through the
-    /// cross-call [`MaskCache`] — the per-shard query path of
-    /// [`ShardedEngine`](crate::shard::ShardedEngine), where every call is
-    /// service traffic sharing the shard's cache and the *caller* owns the
-    /// DNF (the sharded layer expands each expression once and reuses it
-    /// for routing and for every shard, instead of re-expanding per
-    /// shard).
-    pub(crate) fn query_cached_dnf(
+    /// The DNF evaluation loop behind every query path, the sharded
+    /// engine's scatter units included. Each predicate slot of `dnf` is
+    /// evaluated at most once (lazily, in clause order, so an error
+    /// surfaces from the first failing literal), through `cache` when one
+    /// is given. Masks are packed bitsets: clause intersection is a
+    /// word-wise AND over 64 datasets at a time.
+    pub(crate) fn query_inner(
         &self,
-        dnf: &[Vec<Predicate>],
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<usize>, EngineError> {
-        self.query_inner(dnf, scratch, Some(&self.mask_cache))
-    }
-
-    /// The DNF evaluation loop behind every query path. DNF expansion
-    /// repeats predicates across clauses (e.g. distributing `p ∧ (q ∨ r)`
-    /// puts `p` in both clauses); each distinct predicate's hit mask is
-    /// computed once per call (scratch memo) or once per batch (shared
-    /// cache). Masks are packed bitsets: clause intersection is a word-wise
-    /// AND over 64 datasets at a time.
-    fn query_inner(
-        &self,
-        dnf: &[Vec<Predicate>],
+        dnf: &Dnf,
         scratch: &mut QueryScratch,
         cache: Option<&MaskCache>,
     ) -> Result<Vec<usize>, EngineError> {
         let n = self.n_datasets;
         let mut out = Vec::new();
-        // The memo, dedup set and accumulator move out of the scratch while
-        // the leaf queries (which borrow the scratch for their own buffers)
-        // run, and move back afterwards so their capacity is kept.
+        // The slots, dedup set and accumulator move out of the scratch
+        // while the leaf queries (which borrow the scratch for their own
+        // buffers) run, and move back afterwards so their capacity is kept.
         let mut memo = std::mem::take(&mut scratch.memo);
         memo.clear();
+        memo.resize(dnf.preds.len(), None);
         let mut seen = std::mem::take(&mut scratch.seen);
         seen.reset(n);
         let mut acc = std::mem::take(&mut scratch.acc);
         let mut result = Ok(());
-        'clauses: for clause in dnf {
+        'clauses: for clause in &dnf.clauses {
             if clause.is_empty() {
                 continue;
             }
             acc.reset(n);
             acc.set_all();
-            for pred in clause {
-                let key = predicate_key(pred);
-                let mask = match memo.get(&key) {
-                    Some(m) => Arc::clone(m),
-                    None => match self.predicate_mask(pred, &key, scratch, cache) {
-                        Ok(m) => {
-                            memo.insert(key, Arc::clone(&m));
-                            m
+            for &slot in clause {
+                let mask = match &mut memo[slot] {
+                    Some(m) => m,
+                    empty => {
+                        let pred = &dnf.preds[slot];
+                        let computed = match cache {
+                            None => self.compute_mask(pred, scratch),
+                            Some(cache) => cache.get_or_compute(&dnf.keys[slot], || {
+                                self.compute_mask(pred, scratch)
+                            }),
+                        };
+                        match computed {
+                            Ok(m) => empty.insert(m),
+                            Err(e) => {
+                                result = Err(e);
+                                break 'clauses;
+                            }
                         }
-                        Err(e) => {
-                            result = Err(e);
-                            break 'clauses;
-                        }
-                    },
+                    }
                 };
-                acc.and_assign(&mask);
+                acc.and_assign(mask);
             }
             for j in acc.iter_ones() {
                 if seen.insert(j) {
@@ -448,28 +459,6 @@ impl MixedQueryEngine {
         scratch.seen = seen;
         scratch.acc = acc;
         result.map(|()| out)
-    }
-
-    /// One predicate's hit mask: shared-cache lookup (batch / sharded
-    /// mode), then compute against the underlying index. The cache's map
-    /// locks are only held to fetch/insert the per-key cell; the compute
-    /// runs inside the cell's `OnceLock`, which guarantees exactly one
-    /// execution per distinct predicate and generation (racing workers
-    /// block on that cell only) — so
-    /// [`index_queries`](Self::index_queries) and the cache's miss counter
-    /// stay deterministic and distinct predicates never serialize behind
-    /// each other.
-    fn predicate_mask(
-        &self,
-        pred: &Predicate,
-        key: &[u64],
-        scratch: &mut QueryScratch,
-        cache: Option<&MaskCache>,
-    ) -> Result<Arc<BitSet>, EngineError> {
-        match cache {
-            None => self.compute_mask(pred, scratch),
-            Some(cache) => cache.get_or_compute(key, || self.compute_mask(pred, scratch)),
-        }
     }
 
     /// Queries the underlying index for one predicate and packs the hits.
@@ -631,7 +620,6 @@ mod tests {
             expected: 2,
             got: 1,
         };
-        assert_eq!(e.try_query(&bad), Err(want.clone()));
         assert_eq!(e.query(&bad), Err(want.clone()));
         assert_eq!(
             e.schema_check(std::slice::from_ref(&bad)),
@@ -643,7 +631,7 @@ mod tests {
             LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0, 0.0, 0.0], 1, 0.5)),
         ]);
         assert_eq!(
-            e.try_query(&nested),
+            e.query(&nested),
             Err(EngineError::DimensionMismatch {
                 expected: 2,
                 got: 3,
@@ -659,7 +647,7 @@ mod tests {
             Rect::from_bounds(&[0.0], &[1.0]),
             0.5,
         ));
-        let res = e.try_query_batch(&[good.clone(), bad, good]);
+        let res = e.query_batch(&[good.clone(), bad, good]);
         assert_eq!(res.len(), 3);
         assert!(res[0].is_ok());
         assert_eq!(

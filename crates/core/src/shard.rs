@@ -6,6 +6,22 @@
 //! `&self` query paths make the fan-out trivial: every shard engine is
 //! read-shared across the worker pool with no locks.
 //!
+//! # Query path
+//!
+//! Every query — single, batch or served — takes one path.
+//! [`plan`](ShardedEngine::plan) compiles an expression once into a
+//! [`QueryPlan`]: the schema verdict, the DNF as clauses over a table of
+//! distinct predicates (deduplicated by bit-exact key, so a predicate
+//! repeated across clauses is queried once per shard), and the routing
+//! literals. One function evaluates an (expression, shard) *scatter unit*
+//! — routing verdict, counters, telemetry, shard-local → global id
+//! translation — and one function gathers the units into answers.
+//! [`query`](ShardedEngine::query) drives the units inline on the
+//! caller's thread; [`execute`](ShardedEngine::execute) (and the
+//! `query_batch*` paths built on it) drives them over the worker pool and
+//! also returns a per-call [`QueryReport`] of what the units did, exact
+//! however many calls run concurrently.
+//!
 //! [`ShardedEngine`] owns the shard engines plus a **shard map** — each
 //! shard carries the **stable global dataset ids** of its members, so hits
 //! translate from shard-local indexes to ids that survive adding and
@@ -108,8 +124,8 @@
 //! the engine's Ptile build carries its synopsis with it.
 
 use crate::cache::MaskCache;
-use crate::engine::{expr_dim_mismatch, EngineError, MixedQueryEngine};
-use crate::framework::{Dataset, LogicalExpr, MeasureFunction, Predicate, Repository};
+use crate::engine::{check_schema, Dnf, EngineError, MixedQueryEngine};
+use crate::framework::{Dataset, LogicalExpr, MeasureFunction, Repository};
 use crate::pool::{par_map_with, BuildOptions};
 use crate::pref::PrefBuildParams;
 use crate::ptile::PtileBuildParams;
@@ -119,6 +135,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A stable dataset identifier: assigned at ingest, never reinterpreted
 /// when shards are added or rebuilt (unlike a shard-local index).
@@ -374,18 +391,59 @@ enum Skip {
 /// One routable percentile literal, pre-clamped for the per-shard loop:
 /// the clamped threshold lower bound and the query rectangle as per-axis
 /// intervals.
+#[derive(Debug)]
 struct RoutingLit {
     lo: f64,
     rect: Vec<(f64, f64)>,
 }
 
 /// One DNF clause as the router sees it, computed once per query.
+#[derive(Debug)]
 enum PlanClause {
     /// An empty clause — trivially proven silent on every shard.
     Vacuous,
     /// The clause's routable percentile literals (non-empty).
     Lits(Vec<RoutingLit>),
 }
+
+/// One expression compiled against a [`ShardedEngine`] by
+/// [`plan`](ShardedEngine::plan), ready for
+/// [`execute`](ShardedEngine::execute): it passed the schema check, its
+/// DNF is expanded once over a table of distinct predicates (each with
+/// its mask-cache key), and its routing literals are pre-clamped.
+///
+/// A plan is tied to the engine state it was made against; executing it
+/// after an ingest changed the schema (the first shard of an empty
+/// engine) panics.
+#[derive(Debug)]
+pub struct QueryPlan {
+    /// The schema dimension the expression was checked against (`None`:
+    /// the engine held no shard, so there was no schema to check).
+    dim: Option<usize>,
+    dnf: Dnf,
+    /// Per-clause routing literals; `None` scatters everywhere (routing
+    /// disabled, an unindexed preference rank — whose error must come
+    /// from the shards, not be routed away — or a clause with no
+    /// percentile literal, which no shard can prove silent).
+    routing: Option<Vec<PlanClause>>,
+}
+
+/// What one [`execute`](ShardedEngine::execute) call's scatter units did.
+/// Counted per call, so it stays exact however many calls run at once;
+/// the engine-lifetime totals live in [`ShardedStats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueryReport {
+    /// (expression, shard) units evaluated on their shard.
+    pub evaluated: u64,
+    /// Units skipped by the bounding-box routing tier.
+    pub skipped_box: u64,
+    /// Units skipped by the synopsis mass bound only.
+    pub skipped_synopsis: u64,
+}
+
+/// One scatter unit's outcome: how routing disposed of it, and the
+/// shard's hits as global ids (empty when skipped).
+type Unit = (Skip, Result<Vec<GlobalId>, EngineError>);
 
 /// A sharded mixed-query service: one [`MixedQueryEngine`] per repository
 /// shard, scatter/gather query paths, stable [`GlobalId`] answers and
@@ -999,19 +1057,13 @@ impl ShardedEngine {
     /// Checks every expression's predicate dimensionalities against the
     /// served schema, reporting the first mismatch as a typed
     /// [`EngineError::DimensionMismatch`]. A no-op while no shard is
-    /// loaded (an empty service has no schema to violate). The serving
-    /// tier (`dds-server`) runs this up front so a whole request —
-    /// batches included — is rejected all-or-nothing before any scatter.
+    /// loaded (an empty service has no schema to violate). The same check
+    /// [`plan`](Self::plan) runs before expanding an expression.
     pub fn schema_check(&self, exprs: &[LogicalExpr]) -> Result<(), EngineError> {
         let Some(dim) = self.dim() else {
             return Ok(());
         };
-        for expr in exprs {
-            if let Some((expected, got)) = expr_dim_mismatch(expr, dim) {
-                return Err(EngineError::DimensionMismatch { expected, got });
-            }
-        }
-        Ok(())
+        exprs.iter().try_for_each(|e| check_schema(e, dim))
     }
 
     /// The stable ids of shard `shard`'s datasets, in shard-local order.
@@ -1099,12 +1151,62 @@ impl ShardedEngine {
             .fold(0.0, f64::max)
     }
 
-    /// Answers one expression: scatters it over every shard (through each
-    /// shard's cross-call mask cache) and gathers the hits as **ascending
-    /// stable global ids**. A shard error (every shard is built with the
-    /// same ranks, so shards fail alike) is reported once.
+    /// Compiles one expression for [`execute`](Self::execute): checks it
+    /// against the served schema (typed
+    /// [`EngineError::DimensionMismatch`], before anything is expanded;
+    /// a no-op while no shard is loaded), expands its DNF once over a
+    /// table of distinct predicates, and pre-clamps its routing literals.
+    pub fn plan(&self, expr: &LogicalExpr) -> Result<QueryPlan, EngineError> {
+        let dim = self.dim();
+        let dnf = Dnf::compile(expr, dim)?;
+        let routing = match dim {
+            Some(dim) if self.route && self.ranks_indexed(expr) => routing_clauses(&dnf, dim),
+            _ => None,
+        };
+        Ok(QueryPlan { dim, dnf, routing })
+    }
+
+    /// Answers a slice of plans over the worker pool: every
+    /// `(plan, shard)` pair is one scatter unit over
+    /// `dds_pool::par_map_with` (per-worker scratch), gathered back
+    /// **input-ordered** — `answers[i]` answers `plans[i]` as ascending
+    /// global ids — together with the call's [`QueryReport`]. A shard
+    /// error (every shard is built with the same ranks, so shards fail
+    /// alike) is reported once.
+    ///
+    /// # Panics
+    /// Panics if a plan was made before the engine's first shard fixed
+    /// its schema (see [`QueryPlan`]).
+    pub fn execute(
+        &self,
+        plans: &[QueryPlan],
+        opts: &BuildOptions,
+    ) -> (Vec<Result<Vec<GlobalId>, EngineError>>, QueryReport) {
+        let dim = self.dim();
+        assert!(
+            plans.iter().all(|p| p.dim == dim),
+            "query plan made against a different schema; re-plan after ingest"
+        );
+        let n_shards = self.shards.len();
+        // Flattening both dimensions keeps the pool busy even when the
+        // batch is smaller than the worker count.
+        let units: Vec<(usize, usize)> = (0..plans.len())
+            .flat_map(|e| (0..n_shards).map(move |s| (e, s)))
+            .collect();
+        let partials = par_map_with(opts, &units, QueryScratch::new, |scratch, _, &(e, s)| {
+            self.eval_unit(&plans[e], s, scratch)
+        });
+        Self::gather(partials, plans.len(), n_shards)
+    }
+
+    /// Answers one expression: scatters it over every shard, inline on
+    /// the caller's thread (through each shard's cross-call mask cache),
+    /// and gathers the hits as **ascending stable global ids**. A predicate
+    /// of the wrong dimensionality yields
+    /// [`EngineError::DimensionMismatch`] instead of a panic deep inside a
+    /// shard's indexes.
     pub fn query(&self, expr: &LogicalExpr) -> Result<Vec<GlobalId>, EngineError> {
-        self.try_query(expr)
+        self.query_with(expr, &mut QueryScratch::new())
     }
 
     /// [`query`](Self::query) with caller-provided scratch (reused across
@@ -1114,66 +1216,22 @@ impl ShardedEngine {
         expr: &LogicalExpr,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<GlobalId>, EngineError> {
-        self.try_query_with(expr, scratch)
+        let plan = self.plan(expr)?;
+        let units = (0..self.shards.len()).map(|s| self.eval_unit(&plan, s, scratch));
+        let (mut answers, _) = Self::gather(units, 1, self.shards.len());
+        answers.pop().expect("one answer per plan")
     }
 
-    /// The fallible single-expression path: schema-checks the expression
-    /// against the served dimension (typed
-    /// [`EngineError::DimensionMismatch`] instead of a panic deep inside a
-    /// shard's indexes), then scatters it.
-    pub fn try_query(&self, expr: &LogicalExpr) -> Result<Vec<GlobalId>, EngineError> {
-        self.try_query_with(expr, &mut QueryScratch::new())
-    }
-
-    /// [`try_query`](Self::try_query) with caller-provided scratch.
-    pub fn try_query_with(
-        &self,
-        expr: &LogicalExpr,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<GlobalId>, EngineError> {
-        self.schema_check(std::slice::from_ref(expr))?;
-        // One DNF expansion per expression, shared by the routing check
-        // and every shard's evaluation.
-        let dnf = expr.to_dnf();
-        let routing_started = std::time::Instant::now();
-        let skip = self.routing_skip(expr, &dnf);
-        self.telemetry
-            .routing
-            .record_duration(routing_started.elapsed());
-        let mut out = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            match skip.as_ref().map_or(Skip::No, |sk| sk[s]) {
-                Skip::Box => {
-                    self.routed_past.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Skip::Synopsis => {
-                    self.routed_by_synopsis.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Skip::No => {}
-            }
-            shard.queries.fetch_add(1, Ordering::Relaxed);
-            let unit_started = std::time::Instant::now();
-            let hits = shard.engine.query_cached_dnf(&dnf, scratch);
-            self.telemetry
-                .scatter
-                .record_duration(unit_started.elapsed());
-            out.extend(hits?.into_iter().map(|j| shard.global_ids[j]));
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    /// Answers a slice of expressions with the default worker pool: every
-    /// `(expression, shard)` pair is one scatter unit over
-    /// `dds_pool::par_map_with` (per-worker scratch), gathered back
+    /// Answers a slice of expressions with the default worker pool,
     /// **input-ordered** — `result[i]` answers `exprs[i]`, as ascending
     /// global ids, bit-identical to [`query`](Self::query) on each
     /// expression at every shard count × thread count (pinned by
-    /// `tests/shard_equivalence.rs`).
+    /// `tests/shard_equivalence.rs`). Each expression is schema-checked
+    /// on its own: a wrong-dimension expression yields
+    /// `Err(DimensionMismatch)` *in its slot* while the rest of the batch
+    /// is still scattered and answered.
     pub fn query_batch(&self, exprs: &[LogicalExpr]) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        self.try_query_batch(exprs)
+        self.query_batch_opts(exprs, &BuildOptions::default())
     }
 
     /// [`query_batch`](Self::query_batch) with an explicit worker-pool
@@ -1183,186 +1241,82 @@ impl ShardedEngine {
         exprs: &[LogicalExpr],
         opts: &BuildOptions,
     ) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        self.try_query_batch_opts(exprs, opts)
+        let mut plans = Vec::with_capacity(exprs.len());
+        let verdicts: Vec<Result<(), EngineError>> = exprs
+            .iter()
+            .map(|e| self.plan(e).map(|p| plans.push(p)))
+            .collect();
+        let mut answers = self.execute(&plans, opts).0.into_iter();
+        verdicts
+            .into_iter()
+            .map(|v| v.and_then(|()| answers.next().expect("one answer per plan")))
+            .collect()
     }
 
-    /// The fallible batch path: each expression is schema-checked
-    /// independently, so a wrong-dimension expression yields
-    /// `Err(DimensionMismatch)` *in its slot* while the rest of the batch
-    /// is still scattered and answered.
-    pub fn try_query_batch(
-        &self,
-        exprs: &[LogicalExpr],
-    ) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        self.try_query_batch_opts(exprs, &BuildOptions::default())
-    }
-
-    /// [`try_query_batch`](Self::try_query_batch) with an explicit
-    /// worker-pool configuration.
-    pub fn try_query_batch_opts(
-        &self,
-        exprs: &[LogicalExpr],
-        opts: &BuildOptions,
-    ) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        let n_shards = self.shards.len();
-        if n_shards == 0 {
-            return exprs.iter().map(|_| Ok(Vec::new())).collect();
-        }
-        // Per-expression schema verdicts, taken before DNF expansion or
-        // routing: a mismatched expression must neither expand nor touch
-        // shard bounding boxes built for a different dimension.
-        let dim = self.dim().unwrap_or(0);
-        let schema_errs: Vec<Option<EngineError>> = exprs
-            .iter()
-            .map(|e| {
-                expr_dim_mismatch(e, dim)
-                    .map(|(expected, got)| EngineError::DimensionMismatch { expected, got })
-            })
-            .collect();
-        // One DNF expansion per expression, shared read-only by the
-        // routing plans and every (expression, shard) scatter unit — the
-        // workers never re-expand.
-        let dnfs: Vec<Vec<Vec<Predicate>>> = exprs
-            .iter()
-            .zip(&schema_errs)
-            .map(|(e, err)| {
-                if err.is_some() {
-                    Vec::new()
-                } else {
-                    e.to_dnf()
-                }
-            })
-            .collect();
-        let plans: Vec<Option<Vec<Skip>>> = exprs
-            .iter()
-            .zip(&dnfs)
-            .zip(&schema_errs)
-            .map(|((e, dnf), err)| {
-                if err.is_some() {
-                    None
-                } else {
-                    let routing_started = std::time::Instant::now();
-                    let skip = self.routing_skip(e, dnf);
-                    self.telemetry
-                        .routing
-                        .record_duration(routing_started.elapsed());
-                    skip
-                }
-            })
-            .collect();
-        // Scatter: unit (e, s) answers expression e on shard s. Flattening
-        // both dimensions keeps the pool busy even when the batch is
-        // smaller than the worker count.
-        let units: Vec<(usize, usize)> = (0..exprs.len())
-            .flat_map(|e| (0..n_shards).map(move |s| (e, s)))
-            .collect();
-        let partials = par_map_with(opts, &units, QueryScratch::new, |scratch, _, &(e, s)| {
-            if let Some(err) = &schema_errs[e] {
-                return Err(err.clone());
-            }
-            match plans[e].as_ref().map_or(Skip::No, |sk| sk[s]) {
-                Skip::Box => {
-                    self.routed_past.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Vec::new());
-                }
-                Skip::Synopsis => {
-                    self.routed_by_synopsis.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Vec::new());
-                }
-                Skip::No => {}
-            }
-            let shard = &self.shards[s];
-            shard.queries.fetch_add(1, Ordering::Relaxed);
-            let unit_started = std::time::Instant::now();
-            let hits = shard.engine.query_cached_dnf(&dnfs[e], scratch);
-            self.telemetry
-                .scatter
-                .record_duration(unit_started.elapsed());
-            hits.map(|hits| {
-                hits.into_iter()
-                    .map(|j| shard.global_ids[j])
-                    .collect::<Vec<GlobalId>>()
-            })
+    /// Evaluates one (expression, shard) scatter unit — the only place a
+    /// shard answers a query: the routing verdict, the shard-load and
+    /// routing counters, routing and scatter telemetry, and translation
+    /// of the shard-local hits to global ids.
+    fn eval_unit(&self, plan: &QueryPlan, s: usize, scratch: &mut QueryScratch) -> Unit {
+        let shard = &self.shards[s];
+        let started = Instant::now();
+        let skip = plan.routing.as_deref().map_or(Skip::No, |clauses| {
+            Self::shard_skip(clauses, shard, self.synopsis_route)
         });
-        // Gather: merge each expression's per-shard partials in shard
-        // order (errors are identical across shards — first one wins),
-        // then canonicalize to ascending global ids.
-        let mut results = Vec::with_capacity(exprs.len());
-        let mut partials = partials.into_iter();
-        for _ in 0..exprs.len() {
-            let mut merged: Result<Vec<GlobalId>, EngineError> = Ok(Vec::new());
-            for partial in partials.by_ref().take(n_shards) {
-                if let Ok(acc) = &mut merged {
-                    match partial {
-                        Ok(mut ids) => acc.append(&mut ids),
-                        Err(e) => merged = Err(e),
-                    }
-                }
-            }
-            if let Ok(ids) = &mut merged {
-                ids.sort_unstable();
-            }
-            results.push(merged);
+        let routed = Instant::now();
+        self.telemetry.routing.record_duration(routed - started);
+        let counter = match skip {
+            Skip::Box => &self.routed_past,
+            Skip::Synopsis => &self.routed_by_synopsis,
+            Skip::No => &shard.queries,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if skip != Skip::No {
+            return (skip, Ok(Vec::new()));
         }
-        results
+        let engine = &shard.engine;
+        let hits = engine.query_inner(&plan.dnf, scratch, Some(engine.mask_cache()));
+        self.telemetry.scatter.record_duration(routed.elapsed());
+        let hits = hits.map(|local| local.into_iter().map(|j| shard.global_ids[j]).collect());
+        (skip, hits)
     }
 
-    /// The routing verdicts for one expression (whose caller-expanded DNF
-    /// is passed in, so the expansion is paid once per query): `skip[s]`
-    /// says how shard `s` was proven silent, if it was. `None` means
-    /// "scatter everywhere" (routing disabled, nothing skippable, or the
-    /// expression may error — error answers must come from the shards,
-    /// not be routed away).
-    fn routing_skip(&self, expr: &LogicalExpr, dnf: &[Vec<Predicate>]) -> Option<Vec<Skip>> {
-        if !self.route || self.shards.is_empty() || !self.ranks_indexed(expr) {
-            return None;
-        }
-        let plan = self.routing_plan(dnf)?;
-        let skip: Vec<Skip> = self
-            .shards
-            .iter()
-            .map(|s| Self::shard_skip(&plan, s, self.synopsis_route))
+    /// Gathers scatter units — `n_shards` per expression, expression-major
+    /// — into one answer per expression: the per-shard hits in shard order
+    /// (errors are identical across shards — the first one wins),
+    /// canonicalized to ascending global ids. Tallies the call's
+    /// [`QueryReport`] on the way.
+    fn gather(
+        units: impl IntoIterator<Item = Unit>,
+        n_exprs: usize,
+        n_shards: usize,
+    ) -> (Vec<Result<Vec<GlobalId>, EngineError>>, QueryReport) {
+        let mut report = QueryReport::default();
+        let mut units = units.into_iter();
+        let answers = (0..n_exprs)
+            .map(|_| {
+                let mut merged: Result<Vec<GlobalId>, EngineError> = Ok(Vec::new());
+                for (skip, partial) in units.by_ref().take(n_shards) {
+                    *match skip {
+                        Skip::No => &mut report.evaluated,
+                        Skip::Box => &mut report.skipped_box,
+                        Skip::Synopsis => &mut report.skipped_synopsis,
+                    } += 1;
+                    if let Ok(acc) = &mut merged {
+                        match partial {
+                            Ok(ids) if acc.is_empty() => *acc = ids,
+                            Ok(mut ids) => acc.append(&mut ids),
+                            Err(e) => merged = Err(e),
+                        }
+                    }
+                }
+                if let Ok(ids) = &mut merged {
+                    ids.sort_unstable();
+                }
+                merged
+            })
             .collect();
-        skip.iter().any(|&v| v != Skip::No).then_some(skip)
-    }
-
-    /// Pre-clamps one expression's DNF into per-clause routable literals,
-    /// hoisting the θ clamp and the per-axis query intervals out of the
-    /// per-shard loop. `None` means some clause has no routable percentile
-    /// literal of the served dimension — that clause can never be proven
-    /// silent, so no shard is skippable and the per-shard work would be
-    /// wasted.
-    fn routing_plan(&self, dnf: &[Vec<Predicate>]) -> Option<Vec<PlanClause>> {
-        let dim = self.dim()?;
-        let mut clauses = Vec::with_capacity(dnf.len());
-        for clause in dnf {
-            // An empty clause contributes nothing by the DNF evaluation
-            // contract, so it never blocks a skip.
-            if clause.is_empty() {
-                clauses.push(PlanClause::Vacuous);
-                continue;
-            }
-            let mut lits: Vec<RoutingLit> = Vec::new();
-            for p in clause {
-                if let MeasureFunction::Percentile(r) = &p.measure {
-                    // A dimension mismatch panics in the engine; never
-                    // route it away.
-                    if r.dim() == dim {
-                        lits.push(RoutingLit {
-                            // Mirrors the θ clamp of the engine's mask
-                            // computation exactly.
-                            lo: p.theta.lo.max(0.0),
-                            rect: (0..dim).map(|h| (r.lo_at(h), r.hi_at(h))).collect(),
-                        });
-                    }
-                }
-            }
-            if lits.is_empty() {
-                return None;
-            }
-            clauses.push(PlanClause::Lits(lits));
-        }
-        Some(clauses)
+        (answers, report)
     }
 
     /// The verdict for one shard against a pre-clamped plan. The box tier
@@ -1508,6 +1462,40 @@ impl ShardedEngine {
             opts,
         )
     }
+}
+
+/// Pre-clamps a compiled DNF into per-clause routable literals, hoisting
+/// the θ clamp and the per-axis query intervals out of the per-shard
+/// loop. `None` means some clause has no routable percentile literal —
+/// that clause can never be proven silent, so no shard is skippable and
+/// the per-shard work would be wasted.
+fn routing_clauses(dnf: &Dnf, dim: usize) -> Option<Vec<PlanClause>> {
+    dnf.clauses
+        .iter()
+        .map(|clause| {
+            // An empty clause contributes nothing by the DNF evaluation
+            // contract, so it never blocks a skip.
+            if clause.is_empty() {
+                return Some(PlanClause::Vacuous);
+            }
+            let lits: Vec<RoutingLit> = clause
+                .iter()
+                .filter_map(|&slot| {
+                    let p = &dnf.preds[slot];
+                    match &p.measure {
+                        MeasureFunction::Percentile(r) => Some(RoutingLit {
+                            // Mirrors the θ clamp of the engine's mask
+                            // computation exactly.
+                            lo: p.theta.lo.max(0.0),
+                            rect: (0..dim).map(|h| (r.lo_at(h), r.hi_at(h))).collect(),
+                        }),
+                        MeasureFunction::TopK { .. } => None,
+                    }
+                })
+                .collect();
+            (!lits.is_empty()).then_some(PlanClause::Lits(lits))
+        })
+        .collect()
 }
 
 /// Per-attribute `(min, max)` over every raw point in the shard, or `None`
@@ -1657,12 +1645,11 @@ mod tests {
             svc.schema_check(std::slice::from_ref(&bad)),
             Err(want.clone())
         );
-        assert_eq!(svc.try_query(&bad), Err(want.clone()));
         assert_eq!(svc.query(&bad), Err(want.clone()));
         // Batch: the bad slot errs, the good slots still answer — at
         // every thread count.
         for threads in [1, 2, 8] {
-            let batch = svc.try_query_batch_opts(
+            let batch = svc.query_batch_opts(
                 &[low_expr(), bad.clone(), wide_expr()],
                 &BuildOptions::with_threads(threads),
             );
@@ -1672,6 +1659,74 @@ mod tests {
         }
         // The service keeps serving afterwards.
         assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
+    }
+
+    #[test]
+    fn plans_query_each_distinct_predicate_once_per_evaluated_shard() {
+        // `p ∧ (q ∨ r)` expands to `(p ∧ q) ∨ (p ∧ r)`: four literals over
+        // three distinct predicates, all overlapping every shard's data.
+        let pred = |x: Predicate| LogicalExpr::Pred(x);
+        let expr = LogicalExpr::And(vec![
+            pred(Predicate::percentile_at_least(
+                Rect::interval(0.0, 60.0),
+                0.1,
+            )),
+            LogicalExpr::Or(vec![
+                pred(Predicate::percentile_at_least(
+                    Rect::interval(0.0, 100.0),
+                    0.5,
+                )),
+                pred(Predicate::topk_at_least(vec![1.0], 1, 0.0)),
+            ]),
+        ]);
+        let sets = [[1.0, 2.0], [48.0, 52.0], [4.0, 50.0]];
+        for k in 1..=3 {
+            let mut svc = ShardedEngine::new(
+                &[1],
+                PtileBuildParams::exact_centralized(),
+                PrefBuildParams::exact_centralized(),
+            );
+            for s in 0..k {
+                let members: Vec<usize> = (s..sets.len()).step_by(k).collect();
+                let repo = Repository::new(
+                    members
+                        .iter()
+                        .map(|&i| dataset(&format!("d{i}"), &sets[i]))
+                        .collect(),
+                );
+                let ids: Vec<GlobalId> = members.iter().map(|&i| i as GlobalId).collect();
+                svc.add_shard(&repo, &ids);
+            }
+            let plan = svc.plan(&expr).expect("well-formed");
+            let literals: usize = plan.dnf.clauses.iter().map(Vec::len).sum();
+            assert_eq!(literals, 4);
+            assert_eq!(plan.dnf.keys.len(), 3, "one key per distinct predicate");
+            let (answers, report) = svc.execute(&[plan], &BuildOptions::serial());
+            assert_eq!(report.evaluated, k as u64, "k = {k}");
+            assert_eq!(svc.index_queries(), 3 * k as u64, "k = {k}");
+            assert_eq!(svc.cache_stats(), (0, 3 * k as u64), "cold caches, k = {k}");
+            assert_eq!(answers, vec![svc.query(&expr)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "re-plan after ingest")]
+    fn plans_from_before_the_first_shard_are_refused() {
+        let mut svc = ShardedEngine::new(
+            &[1],
+            PtileBuildParams::exact_centralized(),
+            PrefBuildParams::exact_centralized(),
+        );
+        // No schema yet, so a 2-d expression plans fine...
+        let wide = LogicalExpr::Pred(Predicate::percentile_at_least(
+            Rect::from_bounds(&[0.0; 2], &[1.0; 2]),
+            0.5,
+        ));
+        let plan = svc.plan(&wide).expect("no schema to violate");
+        // ...but the first shard fixes a 1-d schema it was never checked
+        // against.
+        svc.add_shard(&Repository::new(vec![dataset("a", &[1.0])]), &[0]);
+        let _ = svc.execute(&[plan], &BuildOptions::serial());
     }
 
     #[test]

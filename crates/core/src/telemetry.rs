@@ -218,7 +218,7 @@ impl StageTimings {
 /// Engine-side timers recorded by `ShardedEngine` on its scatter path.
 #[derive(Debug, Default)]
 pub struct EngineTelemetry {
-    /// Per-(expression × shard) routing decision time (`routing_skip`).
+    /// Per-(expression × shard) routing decision time.
     pub routing: LatencyHistogram,
     /// Per-scatter-unit execution time (one expression on one shard);
     /// its sample count doubles as "scatter units actually evaluated".

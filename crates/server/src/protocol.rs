@@ -514,7 +514,7 @@ pub struct MetricsReport {
     pub execute: HistogramSnapshot,
     /// Response encode + socket write time.
     pub write: HistogramSnapshot,
-    /// Engine routing-decision time per query (`routing_skip`).
+    /// Engine routing-decision time per (expression, shard) unit.
     pub routing: HistogramSnapshot,
     /// Engine per-scatter-unit execution time (one expression × one
     /// shard); its total doubles as "scatter units evaluated".

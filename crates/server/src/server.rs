@@ -20,9 +20,10 @@
 //!   [`BufferPool`], so steady-state serving allocates nothing per frame
 //!   (and, warm, nothing per session);
 //! * a fixed pool of **executors** drains the queue and runs jobs against
-//!   the shared [`ShardedEngine`] — queries under a read lock (the
-//!   engine's `&self` paths fan out over `dds_pool` internally via
-//!   `query_batch`), ingests under a write lock through the non-panicking
+//!   the shared [`ShardedEngine`] — queries under one read lock (each
+//!   expression is planned, then `ShardedEngine::execute` fans the plans
+//!   out over `dds_pool` and reports exactly which shards this request
+//!   scattered to), ingests under a write lock through the non-panicking
 //!   `try_*` paths. Results travel back to the owning I/O thread through
 //!   its completion queue plus a waker.
 //!
@@ -42,6 +43,7 @@
 //! session, and exit.
 
 use crate::buffer::BufferPool;
+use crate::client::EngineResult;
 use crate::protocol::{
     MetricsReport, Request, Response, ServerError, ServerErrorKind, ServerStats, MAX_SLEEP_MS,
     PANIC_DRILL_MS,
@@ -50,9 +52,9 @@ use crate::reactor::{Interest, Reactor, Ready, Waker};
 use crate::wire::{
     encode_frame_into, WireError, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
-use dds_core::framework::Repository;
+use dds_core::framework::{LogicalExpr, Repository};
 use dds_core::pool::BuildOptions;
-use dds_core::shard::ShardedEngine;
+use dds_core::shard::{QueryPlan, QueryReport, ShardedEngine};
 use dds_core::telemetry::{QueryTrace, SlowQueryLog, StageTimings};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -94,7 +96,7 @@ pub struct ServerConfig {
     /// connection count — two threads serve thousands of idle sessions.
     pub io_threads: usize,
     /// Worker threads each executed query fans out over
-    /// (`ShardedEngine::query_batch_opts`); `None` uses the engine
+    /// (`ShardedEngine::execute`); `None` uses the engine
     /// default (`DDS_THREADS` / all cores). Builds triggered by ingest use
     /// the same setting.
     pub query_threads: Option<usize>,
@@ -249,18 +251,14 @@ struct JobReply {
 }
 
 /// Executor-side timing of one job, delivered alongside its response so
-/// the owning I/O thread can finish the request's [`QueryTrace`].
-/// Best-effort under concurrency: the shard counts are deltas of global
-/// engine counters read around this job's execution, so concurrent jobs
-/// can bleed into each other's counts — fine for a trace, meaningless for
-/// accounting (the exact totals live in the stats frame).
+/// the owning I/O thread can finish the request's [`QueryTrace`]. The
+/// shard counts are this job's own [`QueryReport`] — exact however many
+/// executors run concurrently (zero for jobs that scatter nothing).
 #[derive(Clone, Copy, Debug, Default)]
 struct JobTiming {
     queue_ns: u64,
     execute_ns: u64,
-    shards_scattered: u32,
-    shards_skipped_box: u32,
-    shards_skipped_synopsis: u32,
+    shards: QueryReport,
 }
 
 impl JobReply {
@@ -1160,6 +1158,7 @@ fn finish_response(shared: &Shared, s: &mut Session) {
         .saturating_add(p.timing.queue_ns)
         .saturating_add(p.timing.execute_ns)
         .saturating_add(write_ns);
+    let units = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
     shared.slow_log.offer(QueryTrace {
         seq: 0, // assigned by the log
         opcode: p.opcode,
@@ -1168,9 +1167,9 @@ fn finish_response(shared: &Shared, s: &mut Session) {
         execute_ns: p.timing.execute_ns,
         write_ns,
         total_ns,
-        shards_scattered: p.timing.shards_scattered,
-        shards_skipped_box: p.timing.shards_skipped_box,
-        shards_skipped_synopsis: p.timing.shards_skipped_synopsis,
+        shards_scattered: units(p.timing.shards.evaluated),
+        shards_skipped_box: units(p.timing.shards.skipped_box),
+        shards_skipped_synopsis: units(p.timing.shards.skipped_synopsis),
         bytes_in: p.bytes_in,
         bytes_out: s.write_buf.len() as u64,
     });
@@ -1335,18 +1334,17 @@ fn run_job(
             None => window.insert(id, DedupEntry::InFlight),
         }
     }
-    let (scatter0, box0, synopsis0) = scatter_counters(shared);
+    let mut shards = QueryReport::default();
     let execute_started = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(shared, req)));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        execute(shared, req, &mut shards)
+    }));
     let execute_ns = elapsed_ns(execute_started);
     shared.stages.execute.record(execute_ns);
-    let (scatter1, box1, synopsis1) = scatter_counters(shared);
     let timing = JobTiming {
         queue_ns,
         execute_ns,
-        shards_scattered: counter_delta(scatter0, scatter1),
-        shards_skipped_box: counter_delta(box0, box1),
-        shards_skipped_synopsis: counter_delta(synopsis0, synopsis1),
+        shards,
     };
     let resp = match outcome {
         Ok(resp) => {
@@ -1394,39 +1392,41 @@ fn run_job(
     reply.send(resp, timing);
 }
 
-/// Snapshot of the engine's scatter-path counters (units evaluated,
-/// skipped by box, skipped by synopsis) for best-effort per-job deltas.
-fn scatter_counters(shared: &Shared) -> (u64, u64, u64) {
+/// Plans every expression under one read lock — the request is rejected
+/// all-or-nothing on the first plan error, before any shard is touched —
+/// then executes the plans, recording this request's exact shard counts
+/// in `report`.
+fn run_queries(
+    shared: &Shared,
+    exprs: &[LogicalExpr],
+    report: &mut QueryReport,
+) -> Result<Vec<EngineResult>, ServerError> {
     let engine = shared.engine_read();
-    (
-        engine.telemetry().scatter.count(),
-        engine.shards_routed_past(),
-        engine.shards_routed_by_synopsis(),
-    )
+    // A dimension mismatch can never succeed against the served schema,
+    // so clients must not treat it as a retry-later signal: it maps to
+    // the permanent `invalid-query` kind.
+    let plans = exprs
+        .iter()
+        .map(|e| engine.plan(e))
+        .collect::<Result<Vec<QueryPlan>, _>>()
+        .map_err(|e| ServerError::new(ServerErrorKind::InvalidQuery, e.to_string()))?;
+    let (answers, r) = engine.execute(&plans, &shared.build_opts());
+    *report = r;
+    Ok(answers)
 }
 
-fn counter_delta(before: u64, after: u64) -> u32 {
-    u32::try_from(after.saturating_sub(before)).unwrap_or(u32::MAX)
-}
-
-/// Runs one admitted job against the engine.
-fn execute(shared: &Shared, req: Request) -> Response {
+/// Runs one admitted job against the engine, recording the shard counts
+/// of the queries it ran in `report`.
+fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response {
     match req {
         Request::Query(expr) => {
             shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-            let engine = shared.engine_read();
-            // A dimension mismatch can never succeed against the served
-            // schema, so clients must not treat it as a retry-later
-            // signal: it maps to the permanent `invalid-query` kind.
-            if let Err(e) = engine.schema_check(std::slice::from_ref(&expr)) {
-                return Response::Error(ServerError::new(
-                    ServerErrorKind::InvalidQuery,
-                    e.to_string(),
-                ));
+            match run_queries(shared, std::slice::from_ref(&expr), report) {
+                Ok(mut answers) => {
+                    Response::Hits(answers.pop().expect("one answer per expression"))
+                }
+                Err(e) => Response::Error(e),
             }
-            let mut results =
-                engine.query_batch_opts(std::slice::from_ref(&expr), &shared.build_opts());
-            Response::Hits(results.pop().expect("one result per expression"))
         }
         Request::QueryBatch(exprs) => {
             shared
@@ -1437,14 +1437,7 @@ fn execute(shared: &Shared, req: Request) -> Response {
                 .counters
                 .batch_exprs
                 .fetch_add(exprs.len() as u64, Ordering::Relaxed);
-            let engine = shared.engine_read();
-            if let Err(e) = engine.schema_check(&exprs) {
-                return Response::Error(ServerError::new(
-                    ServerErrorKind::InvalidQuery,
-                    e.to_string(),
-                ));
-            }
-            Response::BatchHits(engine.query_batch_opts(&exprs, &shared.build_opts()))
+            run_queries(shared, &exprs, report).map_or_else(Response::Error, Response::BatchHits)
         }
         Request::AddShard {
             request_id: _,

@@ -648,3 +648,70 @@ fn metrics_report_per_stage_latencies_without_touching_answers() {
     assert!(text.contains("dds_slow_queries_recent"));
     server.shutdown();
 }
+
+#[test]
+fn query_traces_carry_exact_per_request_shard_counts_under_concurrency() {
+    const SHARDS: u32 = 3;
+    const ROUNDS: usize = 40;
+    let spec = RepoSpec::mixed(18, 40, 1, 0xA77);
+    let (_, served) = engine_pair(&spec, SHARDS as usize);
+    let mut exprs = RequestStreamSpec::new(24, 5).with_shapes(6).exprs(&spec);
+    // A rectangle beyond all data: every shard is routed past.
+    exprs.push(LogicalExpr::Pred(Predicate::percentile_at_least(
+        Rect::interval(1e6, 2e6),
+        0.5,
+    )));
+    // Every request leaves a trace, and the ring holds all of them.
+    let cfg = ServerConfig {
+        executors: 2,
+        slow_query_threshold: Duration::ZERO,
+        slow_log_capacity: 4096,
+        ..ServerConfig::default()
+    };
+    let server = DdsServer::serve(served, "127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr();
+    let exprs = Arc::new(exprs);
+    // Two clients keep both executors busy at once, so jobs overlap; each
+    // interleaves control ops, which scatter nothing.
+    std::thread::scope(|s| {
+        for c in 0..2 {
+            let exprs = Arc::clone(&exprs);
+            s.spawn(move || {
+                let mut client = DdsClient::connect(addr).expect("client connect");
+                for i in 0..ROUNDS {
+                    let j = (i * 5 + c * 11) % exprs.len();
+                    let answer = client.query(&exprs[j]).expect("query transport");
+                    answer.expect("well-formed query");
+                    client.ping().expect("ping");
+                    let batch: Vec<LogicalExpr> = (0..4)
+                        .map(|k| exprs[(j + k * 7) % exprs.len()].clone())
+                        .collect();
+                    client.query_batch(&batch).expect("batch transport");
+                    client.stats().expect("stats");
+                }
+            });
+        }
+    });
+
+    let mut client = DdsClient::connect(addr).expect("connect");
+    let traces = client.metrics().expect("metrics").slow_queries;
+    use dds_server::protocol::opcode;
+    let mut seen = [0usize; 4];
+    let mut skipped = 0;
+    for t in &traces {
+        let units = t.shards_scattered + t.shards_skipped_box + t.shards_skipped_synopsis;
+        let (slot, want) = match t.opcode {
+            opcode::QUERY => (0, SHARDS),
+            opcode::QUERY_BATCH => (1, 4 * SHARDS),
+            opcode::PING => (2, 0),
+            opcode::STATS => (3, 0),
+            other => panic!("unexpected traced opcode {other:#x}"),
+        };
+        seen[slot] += 1;
+        skipped += t.shards_skipped_box + t.shards_skipped_synopsis;
+        assert_eq!(units, want, "trace {t:?}");
+    }
+    assert_eq!(seen, [2 * ROUNDS; 4], "every request traced once");
+    assert!(skipped > 0, "routing must engage for the counts to split");
+    server.shutdown();
+}

@@ -86,8 +86,8 @@
 //!
 //! Fallibility is typed at the core boundary: `dds_core::error` gathers
 //! [`prelude::EngineError`] (query-time: unindexed ranks, schema
-//! dimension mismatches — also available through the panic-free
-//! `try_query*` variants on both engines) and [`prelude::IngestError`]
+//! dimension mismatches — every query path on both engines returns it
+//! instead of panicking) and [`prelude::IngestError`]
 //! (ingest-time: duplicate or malformed shard content) in one module.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -190,7 +190,7 @@ fn served_engine_through_the_facade() {
 fn typed_errors_through_the_facade() {
     // The unified error surface: `EngineError` and `IngestError` both
     // arrive via the prelude (backed by `dds_core::error`), and the
-    // panic-free `try_query*` paths speak it on both engines.
+    // panic-free query paths speak it on both engines.
     let repo = repo(); // 2-d datasets
     let engine = MixedQueryEngine::build(
         &repo,
@@ -202,7 +202,7 @@ fn typed_errors_through_the_facade() {
         Rect::interval(0.0, 1.0), // 1-d against the 2-d schema
         0.5,
     ));
-    match engine.try_query(&wrong_dim) {
+    match engine.query(&wrong_dim) {
         Err(EngineError::DimensionMismatch { expected, got }) => {
             assert_eq!((expected, got), (2, 1));
         }
@@ -215,7 +215,7 @@ fn typed_errors_through_the_facade() {
     );
     svc.add_shard(&repo, &[0, 1, 2]);
     assert!(matches!(
-        svc.try_query(&wrong_dim),
+        svc.query(&wrong_dim),
         Err(EngineError::DimensionMismatch {
             expected: 2,
             got: 1
