@@ -240,13 +240,12 @@ fn bench_routing(c: &mut Criterion) {
     };
     let pref = || PrefBuildParams::exact_centralized().with_eps(0.05);
     // Selective traffic (narrow interior rectangles, θ lower bound far
-    // above the sampling margin): the regime the synopsis tier prunes.
+    // above the sampling margin): the regime the mass bound prunes.
     let exprs: Vec<LogicalExpr> =
         dds_workload::RequestStreamSpec::selective(128, 0xE18).exprs(&spec);
     for shards in [2usize, 8] {
-        let build = |synopsis: bool| {
-            let mut svc =
-                ShardedEngine::new(&[1], params(), pref()).with_synopsis_routing(synopsis);
+        let build = |route: bool| {
+            let mut svc = ShardedEngine::new(&[1], params(), pref()).with_routing(route);
             for shard in spec.shards(shards) {
                 svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
             }
@@ -255,13 +254,13 @@ fn bench_routing(c: &mut Criterion) {
             let _ = svc.query_batch_opts(&exprs, &BuildOptions::with_threads(4));
             svc
         };
-        let box_only = build(false);
-        group.bench_function(BenchmarkId::new("box_only_warm", shards), |b| {
-            b.iter(|| box_only.query_batch_opts(&exprs, &BuildOptions::with_threads(4)))
+        let unrouted = build(false);
+        group.bench_function(BenchmarkId::new("unrouted_warm", shards), |b| {
+            b.iter(|| unrouted.query_batch_opts(&exprs, &BuildOptions::with_threads(4)))
         });
-        let full = build(true);
-        group.bench_function(BenchmarkId::new("synopsis_warm", shards), |b| {
-            b.iter(|| full.query_batch_opts(&exprs, &BuildOptions::with_threads(4)))
+        let routed = build(true);
+        group.bench_function(BenchmarkId::new("routed_warm", shards), |b| {
+            b.iter(|| routed.query_batch_opts(&exprs, &BuildOptions::with_threads(4)))
         });
     }
     group.finish();

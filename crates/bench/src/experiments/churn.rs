@@ -4,7 +4,7 @@
 //! service starts from a **skewed** partition
 //! ([`RepoSpec::shards_skewed`] — one oversized head shard and a tail of
 //! small ones, the realistic bad case), measures per-shard load over a
-//! query batch, lets [`rebalance_plan_with`] propose splits from those
+//! query batch, lets [`rebalance_plan`] propose splits from those
 //! counters, applies the plan, and then survives rounds of ongoing churn
 //! (split the largest shard, merge the two smallest) with queries
 //! interleaved throughout. Every row asserts **`=unsharded`**: the
@@ -14,7 +14,7 @@
 //! factor, showing the rebalance actually flattening the skew.
 //!
 //! [`RepoSpec::shards_skewed`]: dds_workload::RepoSpec::shards_skewed
-//! [`rebalance_plan_with`]: dds_core::shard::ShardedEngine::rebalance_plan_with
+//! [`rebalance_plan`]: dds_core::shard::ShardedEngine::rebalance_plan
 
 use super::setup::ptile_queries;
 use super::Scale;
@@ -121,13 +121,10 @@ pub fn e16_shard_churn(scale: Scale) -> Table {
         let opts = BuildOptions::with_threads(threads);
         // The skewed start: a heavy head shard and a small tail — what a
         // catalog that grew in place looks like before any rebalancing.
-        let mut svc = ShardedEngine::new(&[1], bench_params().with_phi_datasets(n), pref_params());
+        let mut svc = ShardedEngine::new(&[1], bench_params().with_phi_datasets(n), pref_params())
+            .with_build_options(opts.clone());
         for shard in spec.shards_skewed(3) {
-            svc.add_shard_opts(
-                &Repository::from_point_sets(shard.sets),
-                &shard.global_ids,
-                &opts,
-            );
+            svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
         }
         let mut row =
             |svc: &ShardedEngine, phase: &str, transitions: String, total: std::time::Duration| {
@@ -154,7 +151,7 @@ pub fn e16_shard_churn(scale: Scale) -> Table {
             merge_under: 0, // merges exercised by the churn rounds below
             hot_factor: 4.0,
         };
-        let plan = svc.rebalance_plan_with(&cfg);
+        let plan = svc.rebalance_plan(&cfg);
         let splits = plan
             .iter()
             .filter(|a| matches!(a, RebalanceAction::Split { .. }))
@@ -164,7 +161,7 @@ pub fn e16_shard_churn(scale: Scale) -> Table {
             "the skewed head shard must exceed max_datasets = {} and propose a split",
             cfg.max_datasets
         );
-        svc.apply_rebalance_opts(&plan, &opts)
+        svc.apply_rebalance(&plan)
             .expect("a freshly computed plan applies cleanly");
         let t = run_and_assert(&svc, &exprs, &opts, &baseline, "rebalanced");
         row(&svc, "rebalanced", format!("{splits} split(s)"), t);
@@ -181,12 +178,12 @@ pub fn e16_shard_churn(scale: Scale) -> Table {
             let mut ids = svc.global_ids(largest.shard).to_vec();
             ids.sort_unstable();
             let move_ids = ids.split_off(ids.len() / 2);
-            svc.try_split_shard_opts(largest.shard, &move_ids, &opts)
+            svc.try_split_shard(largest.shard, &move_ids)
                 .expect("the largest shard always has two sides to split");
             let mut by_size = svc.shard_loads();
             by_size.sort_by_key(|l| (l.datasets, l.shard));
             let (a, b) = (by_size[0].shard, by_size[1].shard);
-            svc.try_merge_shards_opts(a, b, &opts)
+            svc.try_merge_shards(a, b)
                 .expect("two distinct live shards always merge");
             assert_eq!(svc.n_datasets(), n, "churn conserves the catalog");
             let phase = format!("churn r{round}");

@@ -100,7 +100,8 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
     let plan = FaultPlan::seeded(schedule.seed).with_fault_per_mille(schedule.fault_per_mille);
 
     let (ptile, pref) = params();
-    let mut mirror = ShardedEngine::new(&[1], ptile, pref);
+    let mut mirror =
+        ShardedEngine::new(&[1], ptile, pref).with_build_options(BuildOptions::serial());
     let served = {
         let (ptile, pref) = params();
         ShardedEngine::new(&[1], ptile, pref)
@@ -124,7 +125,6 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
     // once. Retries across calls reuse the same request_id, so however
     // many times the bytes hit the server, the shard lands once.
     let spec = RepoSpec::mixed(12, 40, 1, seed.wrapping_add(0xE17));
-    let serial = BuildOptions::serial();
     for (i, shard) in spec.shards(3).into_iter().enumerate() {
         let repo = Repository::from_point_sets(shard.sets);
         let request_id = 0xE17_0000 + i as u64 + (seed << 32);
@@ -136,7 +136,7 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
                 Err(e) => assert!(e.is_transient() || is_deadline(&e), "seed {seed:#x}: {e}"),
             }
         };
-        let mirror_idx = mirror.add_shard_opts(&repo, &shard.global_ids, &serial);
+        let mirror_idx = mirror.add_shard(&repo, &shard.global_ids);
         assert_eq!(served_idx, mirror_idx, "seed {seed:#x}: shard index");
     }
 
@@ -160,11 +160,11 @@ fn soak_one_seed(seed: u64, n_requests: usize) -> SoakOutcome {
     let move_ids = ids.split_off(ids.len() / 2);
     ensure_split(&mut client, 0, &move_ids, 4, seed);
     mirror
-        .try_split_shard_opts(0, &move_ids, &serial)
+        .try_split_shard(0, &move_ids)
         .unwrap_or_else(|e| panic!("seed {seed:#x}: mirror split: {e}"));
     ensure_merge(&mut client, 3, 0, 3, seed);
     mirror
-        .try_merge_shards_opts(3, 0, &serial)
+        .try_merge_shards(3, 0)
         .unwrap_or_else(|e| panic!("seed {seed:#x}: mirror merge: {e}"));
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, seed);

@@ -16,7 +16,8 @@
 //!   (`with_phi_datasets(n)`), and shard engines seed per-dataset
 //!   sampling by global id, so the assertion is sound even when the
 //!   rectangle budget forces real sampling;
-//! * **cache hit-rate columns** — each shard's cross-call [`MaskCache`]
+//! * **cache hit-rate columns** — each shard's cross-call
+//!   [`MaskCache`](dds_core::cache::MaskCache)
 //!   survives between batches: the *cold* column is the hit rate of the
 //!   first (timed) batch, the *warm* column the rate of an identical
 //!   follow-up batch, which a read-mostly catalog serves almost entirely

@@ -267,7 +267,7 @@ impl MixedQueryEngine {
     /// not the repository, so attaching one cache to engines over
     /// different data would silently serve the wrong masks. The only
     /// legitimate use is the shard-rebuild carry-over
-    /// (`ShardedEngine::rebuild_shard`), which invalidates the cache's
+    /// (`ShardedEngine::try_rebuild_shard`), which invalidates the cache's
     /// generation as it hands it to the replacement engine.
     pub(crate) fn with_mask_cache(mut self, cache: Arc<MaskCache>) -> Self {
         self.mask_cache = cache;

@@ -6,7 +6,7 @@
 //! the missing ingredient is a small coreset with multiplicative
 //! guarantees. Following the paper's own observation that additive
 //! approximations are achievable (it cites RaBitQ-style additive coresets
-//! [26]), these modules implement both query classes with *measured
+//! \[26\]), these modules implement both query classes with *measured
 //! additive bands*, mirroring the ε + 2δ guarantee shape of the main
 //! results:
 //!

@@ -35,8 +35,14 @@
 //! their sample, so the two notions coincide there.
 //!
 //! A `NaN` sample coordinate makes interval reasoning unsound, so the
-//! builder returns `None` and routing falls back to scatter-everywhere,
-//! exactly like the raw-point bounding box.
+//! builder returns `None` and routing falls back to scatter-everywhere.
+//!
+//! Edge placement pools every dataset's smallest and largest sample
+//! value, so each axis's outermost edges are the extreme sample values.
+//! Samples are raw points, so a rectangle missing the shard's raw-point
+//! bounding box in some attribute gets a bound of exactly `0.0`: the
+//! shard router's zero-mass case subsumes a bounding-box test (pinned by
+//! a proptest in `tests/shard_equivalence.rs`).
 
 use dds_geom::Point;
 
@@ -85,7 +91,9 @@ impl RoutingSynopsis {
         for h in 0..dim {
             // Edge placement: a few quantiles per dataset, pooled and
             // re-quantiled into the bin budget. Equi-depth over the pool
-            // puts resolution where the data mass is.
+            // puts resolution where the data mass is. The first and last
+            // quantiles are each dataset's extremes, so the outermost
+            // edges span every sample (see the module docs).
             let mut pool: Vec<f64> = Vec::new();
             for s in samples.iter().flatten() {
                 let xs = &s[h];
@@ -141,8 +149,8 @@ impl RoutingSynopsis {
         self.edges.len()
     }
 
-    /// Bin count of axis `h` (at most [`ROUTING_BINS`]; fewer after edge
-    /// deduplication).
+    /// Bin count of axis `h` (at most `ROUTING_BINS` = 48; fewer after
+    /// edge deduplication).
     pub fn bins(&self, h: usize) -> usize {
         self.env[h].len()
     }

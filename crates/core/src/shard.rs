@@ -43,41 +43,49 @@
 //! band.
 //!
 //! Each shard keeps its own cross-call [`MaskCache`];
-//! [`rebuild_shard`](ShardedEngine::rebuild_shard) carries the cache over
-//! to the replacement engine and bumps its generation, so a rebuild
-//! invalidates **only that shard's entries** while every other shard keeps
-//! serving cached masks.
+//! [`try_rebuild_shard`](ShardedEngine::try_rebuild_shard) carries the
+//! cache over to the replacement engine and bumps its generation, so a
+//! rebuild invalidates **only that shard's entries** while every other
+//! shard keeps serving cached masks.
 //!
 //! # Shard lifecycle
 //!
 //! A production catalog lives under churn: hot shards divide, cold shards
 //! coalesce. Each shard retains its ingested datasets, so the lifecycle
 //! operations are self-contained —
-//! [`split_shard`](ShardedEngine::split_shard) divides one shard in two
-//! (the datasets whose ids are in the assignment move to a new shard),
-//! [`merge_shards`](ShardedEngine::merge_shards) coalesces two into one,
-//! and [`rebalance_plan`](ShardedEngine::rebalance_plan) proposes a list
-//! of such transitions from per-shard size and query-load counters. All
-//! three follow the validate→build→commit discipline of ingest: a failing
-//! transition leaves the service untouched, and because global ids are
-//! stable and sampling is seeded by global id, **no transition can change
-//! any answer** — pinned by the split ≡ rebuilt / merge ≡ rebuilt
-//! proptests and the churn soak in `tests/shard_equivalence.rs`. Cache
-//! generations travel with the transitions the same way rebuilds carry
-//! them: the surviving side of a split and the surviving slot of a merge
-//! inherit the old shard's [`MaskCache`] with its generation bumped, so
-//! invalidation stays scoped to the shards that changed.
+//! [`try_split_shard`](ShardedEngine::try_split_shard) divides one shard
+//! in two (the datasets whose ids are in the assignment move to a new
+//! shard), [`try_merge_shards`](ShardedEngine::try_merge_shards)
+//! coalesces two into one, and
+//! [`rebalance_plan`](ShardedEngine::rebalance_plan) proposes a list of
+//! such transitions from per-shard size and query-load counters, which
+//! [`apply_rebalance`](ShardedEngine::apply_rebalance) applies.
+//!
+//! Every lifecycle operation is **one fallible call** returning a typed
+//! [`IngestError`], and every build it triggers runs on the engine's one
+//! worker pool, set once with
+//! [`with_build_options`](ShardedEngine::with_build_options).
+//! [`add_shard`](ShardedEngine::add_shard) is the single panicking
+//! convenience wrapper. All operations follow the validate→build→commit
+//! discipline: a failing operation leaves the service untouched, and
+//! because global ids are stable and sampling is seeded by global id,
+//! **no transition can change any answer** — pinned by the split ≡
+//! rebuilt / merge ≡ rebuilt proptests and the churn soak in
+//! `tests/shard_equivalence.rs`. Cache generations travel with the
+//! transitions the same way rebuilds carry them: the surviving side of a
+//! split and the surviving slot of a merge inherit the old shard's
+//! [`MaskCache`] with its generation bumped, so invalidation stays scoped
+//! to the shards that changed.
 //!
 //! # Shard routing
 //!
-//! Every shard records two ingest-time summaries: the **per-attribute
-//! value bounding box** of its raw points, and a **routing synopsis** —
-//! per attribute, equi-depth histogram bins over the build's per-dataset
-//! weight samples with a per-bin *max-mass envelope* (the largest
-//! fraction of any one member dataset's sample inside the bin; built by
-//! the shard's Ptile index, [`RoutingSynopsis`](crate::ptile::RoutingSynopsis)).
+//! Every shard engine carries a **routing synopsis** built with its Ptile
+//! index — per attribute, equi-depth histogram bins over the build's
+//! per-dataset weight samples with a per-bin *max-mass envelope* (the
+//! largest fraction of any one member dataset's sample inside the bin;
+//! [`RoutingSynopsis`](crate::ptile::RoutingSynopsis)).
 //!
-//! **The mass-bound contract.** The range index reports dataset `j` for a
+//! **The mass-bound rule.** The range index reports dataset `j` for a
 //! percentile predicate `(R, θ)` through its main structure only when
 //! some canonical rectangle `ρ ⊆ R` has sample weight
 //! `w(ρ) = |ρ ∩ S_j| / |S_j|` with `w(ρ) + (ε_j + δ_j) ≥ a_θ` (the
@@ -97,15 +105,15 @@
 //! and the envelope is computed over the same weight samples the lifted
 //! weights are measured against.
 //!
-//! Box disjointness is the degenerate zero-mass case: a query rectangle
-//! disjoint from the raw-point box in some attribute is disjoint from
-//! every sample range (samples are raw points), so `U = 0` and the rule
-//! reduces to `a_θ > margin` — exactly the historical box test, which
-//! the implementation still evaluates first.
-//! [`shards_routed_past`](ShardedEngine::shards_routed_past) keeps its
-//! historical meaning (units the box alone skips);
+//! The raw-point bounding box is the rule's `U = 0` case: samples are raw
+//! points and every dataset's smallest and largest sample sit on the
+//! synopsis' edge list, so a rectangle missing the box in some attribute
+//! gets a mass bound of exactly `0.0` (pinned by a proptest in
+//! `tests/shard_equivalence.rs`). The counters keep that split:
+//! [`shards_routed_past`](ShardedEngine::shards_routed_past) counts units
+//! whose every clause is proven by a literal with a zero bound, and
 //! [`shards_routed_by_synopsis`](ShardedEngine::shards_routed_by_synopsis)
-//! counts the *additional* units only the mass bound skips.
+//! the units whose proof needs a positive bound.
 //!
 //! An expression's scatter onto a shard is skipped only when **every**
 //! DNF clause contains a skip-proving percentile literal; the per-clause
@@ -114,14 +122,12 @@
 //! unrouted by `tests/shard_equivalence.rs` — and never engages for
 //! expressions that would error (an unindexed preference rank must still
 //! be reported even if every shard is otherwise skippable). A `NaN`
-//! coordinate disables both summaries for its shard (scatter-everywhere,
-//! answers unaffected). [`with_routing`](ShardedEngine::with_routing)
-//! disables routing entirely;
-//! [`with_synopsis_routing`](ShardedEngine::with_synopsis_routing) keeps
-//! the box test but disables the mass bound (the A/B lever of the E18
-//! experiment). The summaries thread through the whole lifecycle for
-//! free: add/rebuild/split/merge each rebuild the shard's engine, and
-//! the engine's Ptile build carries its synopsis with it.
+//! sample coordinate leaves its shard without a synopsis
+//! (scatter-everywhere, answers unaffected).
+//! [`with_routing`](ShardedEngine::with_routing) disables routing
+//! entirely. The synopsis threads through the whole lifecycle for free:
+//! add/rebuild/split/merge each rebuild the shard's engine, and the
+//! engine's Ptile build carries its synopsis with it.
 
 use crate::cache::MaskCache;
 use crate::engine::{check_schema, Dnf, EngineError, MixedQueryEngine};
@@ -141,11 +147,11 @@ use std::time::Instant;
 /// when shards are added or rebuilt (unlike a shard-local index).
 pub type GlobalId = u64;
 
-/// Why a shard ingest ([`ShardedEngine::try_add_shard`] /
-/// [`ShardedEngine::try_rebuild_shard`]) was rejected. Every rejection
-/// leaves the service exactly as it was; the panicking ingest methods
-/// surface these as panic messages, services (e.g. `dds-server`) serialize
-/// them via [`Display`](fmt::Display).
+/// Why a shard lifecycle operation (ingest, rebuild, split, merge,
+/// rebalance) was rejected. Every rejection leaves the service exactly as
+/// it was; [`ShardedEngine::add_shard`] surfaces these as its panic
+/// message, services (e.g. `dds-server`) serialize them via
+/// [`Display`](fmt::Display).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IngestError {
     /// `global_ids.len() != repo.len()`.
@@ -272,11 +278,12 @@ pub struct ShardedStats {
     pub cache_hits: u64,
     /// Mask-cache misses summed across shards.
     pub cache_misses: u64,
-    /// (expression, shard) scatter units skipped by the bounding-box
-    /// routing tier alone.
+    /// (expression, shard) scatter units routing skipped with a zero
+    /// mass bound: every clause proven by a literal whose rectangle holds
+    /// no sample mass (the shard's value range misses it).
     pub shards_routed_past: u64,
-    /// Scatter units additionally skipped by the synopsis mass bound
-    /// (units the box tier could not prove silent).
+    /// Scatter units routing skipped with a positive mass bound: some
+    /// clause's proof needed the synopsis envelope.
     pub shards_routed_by_synopsis: u64,
     /// Lifecycle splits committed over the service lifetime.
     pub splits: u64,
@@ -299,7 +306,7 @@ pub struct ShardLoad {
     pub queries: u64,
 }
 
-/// Thresholds steering [`ShardedEngine::rebalance_plan_with`].
+/// Thresholds steering [`ShardedEngine::rebalance_plan`].
 #[derive(Clone, Copy, Debug)]
 pub struct RebalanceConfig {
     /// A shard holding more datasets than this proposes a split.
@@ -357,11 +364,6 @@ struct Shard {
     global_ids: Vec<GlobalId>,
     /// Schema dimension of the shard's data.
     dim: usize,
-    /// Per-attribute `(min, max)` over every raw point in the shard —
-    /// the routing fast path's pruning box. `None` disables routing for
-    /// this shard (a NaN coordinate was seen, so containment reasoning is
-    /// unsound).
-    bounds: Option<Vec<(f64, f64)>>,
     /// The ingested datasets (`datasets[local]` carries id
     /// `global_ids[local]`), retained so lifecycle transitions
     /// (split/merge) can rebuild replacement engines without the caller
@@ -374,18 +376,18 @@ struct Shard {
     queries: AtomicU64,
 }
 
-/// How the routing fast path disposed of one (expression, shard) unit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How the routing fast path disposed of one (expression, shard) unit,
+/// ordered from the strongest proof to none.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Skip {
-    /// Not provably silent — evaluate the shard.
-    No,
-    /// Skipped by the bounding-box tier (counted by
-    /// [`ShardedEngine::shards_routed_past`], preserving its historical
-    /// meaning).
+    /// Skipped with a zero mass bound (counted by
+    /// [`ShardedEngine::shards_routed_past`]).
     Box,
-    /// Skipped only by the synopsis mass bound (counted by
+    /// Skipped with a positive mass bound (counted by
     /// [`ShardedEngine::shards_routed_by_synopsis`]).
     Synopsis,
+    /// Not provably silent — evaluate the shard.
+    No,
 }
 
 /// One routable percentile literal, pre-clamped for the per-shard loop:
@@ -435,9 +437,11 @@ pub struct QueryPlan {
 pub struct QueryReport {
     /// (expression, shard) units evaluated on their shard.
     pub evaluated: u64,
-    /// Units skipped by the bounding-box routing tier.
+    /// Units routing skipped with a zero mass bound (see
+    /// [`ShardedStats::shards_routed_past`]).
     pub skipped_box: u64,
-    /// Units skipped by the synopsis mass bound only.
+    /// Units routing skipped with a positive mass bound (see
+    /// [`ShardedStats::shards_routed_by_synopsis`]).
     pub skipped_synopsis: u64,
 }
 
@@ -492,15 +496,15 @@ pub struct ShardedEngine {
     /// Routing fast path (see the module docs). On by default;
     /// [`with_routing`](Self::with_routing) disables it.
     route: bool,
-    /// Synopsis mass-bound tier of the routing fast path. On by default;
-    /// [`with_synopsis_routing`](Self::with_synopsis_routing) disables
-    /// just this tier, leaving the box tier in place.
-    synopsis_route: bool,
-    /// (expression, shard) scatter units skipped by the box tier. Data-
-    /// dependent, not timing-dependent, so the count is deterministic for
-    /// a given workload.
+    /// Worker pool every shard build runs on (ingest, rebuild, split,
+    /// merge). Set once with
+    /// [`with_build_options`](Self::with_build_options).
+    build_opts: BuildOptions,
+    /// (expression, shard) scatter units skipped with a zero mass bound.
+    /// Data-dependent, not timing-dependent, so the count is
+    /// deterministic for a given workload.
     routed_past: AtomicU64,
-    /// Scatter units skipped by the synopsis tier only (disjoint from
+    /// Scatter units skipped with a positive mass bound (disjoint from
     /// `routed_past`; total skipped is the sum).
     routed_by_synopsis: AtomicU64,
     /// Lifecycle splits committed (`&mut self` ops, so a plain counter).
@@ -515,9 +519,10 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// An empty service; shards arrive via [`add_shard`](Self::add_shard).
-    /// Every shard engine is built with these parameters and Pref ranks,
-    /// and a default-capacity [`MaskCache`]. Any `seed_ids` on
+    /// An empty service; shards arrive via
+    /// [`try_add_shard`](Self::try_add_shard). Every shard engine is built
+    /// with these parameters and Pref ranks, a default-capacity
+    /// [`MaskCache`] and the default worker pool. Any `seed_ids` on
     /// `ptile_params` are replaced per shard with the shard's global ids
     /// (stable-identity sampling); set
     /// `ptile_params.with_phi_datasets(catalog_size)` to anchor sampled
@@ -535,7 +540,7 @@ impl ShardedEngine {
             pref_params,
             cache_capacity: crate::cache::DEFAULT_MASK_CACHE_CAPACITY,
             route: true,
-            synopsis_route: true,
+            build_opts: BuildOptions::default(),
             routed_past: AtomicU64::new(0),
             routed_by_synopsis: AtomicU64::new(0),
             splits: 0,
@@ -555,86 +560,58 @@ impl ShardedEngine {
         self
     }
 
-    /// Enables or disables the routing fast path — both tiers at once
-    /// (builder-style; default enabled). Routing never changes answers —
-    /// disabling it only exists for A/B measurement and for the
-    /// routed ≡ unrouted equivalence tests.
+    /// Enables or disables the routing fast path (builder-style; default
+    /// enabled). Routing never changes answers — disabling it only exists
+    /// for A/B measurement and for the routed ≡ unrouted equivalence
+    /// tests.
     pub fn with_routing(mut self, enabled: bool) -> Self {
         self.route = enabled;
         self
     }
 
-    /// Enables or disables just the synopsis mass-bound tier of routing
-    /// (builder-style; default enabled). With it off the box tier still
-    /// runs — the configuration the pre-synopsis engine shipped, kept as
-    /// the A/B lever for measuring how much the mass bound adds (E18).
-    /// Never changes answers.
-    pub fn with_synopsis_routing(mut self, enabled: bool) -> Self {
-        self.synopsis_route = enabled;
+    /// Sets the worker pool every lifecycle build runs on (builder-style;
+    /// default [`BuildOptions::default`]). The thread count never changes
+    /// a built shard, only how fast it is built.
+    pub fn with_build_options(mut self, opts: BuildOptions) -> Self {
+        self.build_opts = opts;
         self
     }
 
-    /// Ingests one shard with the default worker pool: builds its engine
-    /// and records `global_ids[i]` as the stable id of `repo`'s `i`-th
-    /// dataset. Returns the shard's index (for
-    /// [`rebuild_shard`](Self::rebuild_shard)).
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`global_ids.len() != repo.len()`, an
-    /// id already served by this engine, a schema mismatch, …); see
-    /// [`try_add_shard`](Self::try_add_shard) for the non-panicking
-    /// variant.
-    pub fn add_shard(&mut self, repo: &Repository, global_ids: &[GlobalId]) -> usize {
-        self.add_shard_opts(repo, global_ids, &BuildOptions::default())
+    /// The worker pool lifecycle builds run on (see
+    /// [`with_build_options`](Self::with_build_options)).
+    pub fn build_options(&self) -> &BuildOptions {
+        &self.build_opts
     }
 
-    /// [`add_shard`](Self::add_shard) with an explicit worker-pool
-    /// configuration for the build.
-    pub fn add_shard_opts(
-        &mut self,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) -> usize {
-        self.try_add_shard_opts(repo, global_ids, opts)
+    /// [`try_add_shard`](Self::try_add_shard) for callers that treat a
+    /// rejected ingest as a bug.
+    ///
+    /// # Panics
+    /// Panics with the [`IngestError`]'s message on any rejection.
+    pub fn add_shard(&mut self, repo: &Repository, global_ids: &[GlobalId]) -> usize {
+        self.try_add_shard(repo, global_ids)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Non-panicking [`add_shard`](Self::add_shard): a rejected ingest
-    /// returns the typed [`IngestError`] and leaves the service untouched.
+    /// Ingests one shard: builds its engine and records `global_ids[i]` as
+    /// the stable id of `repo`'s `i`-th dataset. Returns the shard's index
+    /// (for [`try_rebuild_shard`](Self::try_rebuild_shard)). A rejected
+    /// ingest (`global_ids.len() != repo.len()`, an id already served, a
+    /// schema mismatch, an exceeded φ anchor) returns the typed
+    /// [`IngestError`] and leaves the service untouched.
     pub fn try_add_shard(
         &mut self,
         repo: &Repository,
         global_ids: &[GlobalId],
-    ) -> Result<usize, IngestError> {
-        self.try_add_shard_opts(repo, global_ids, &BuildOptions::default())
-    }
-
-    /// [`try_add_shard`](Self::try_add_shard) with an explicit worker-pool
-    /// configuration for the build.
-    pub fn try_add_shard_opts(
-        &mut self,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-        opts: &BuildOptions,
     ) -> Result<usize, IngestError> {
         // Validate, then build (which can still panic on pathological
         // parameters), then commit — a failing ingest leaves the service
         // state untouched.
         self.validate_ids(repo, global_ids, None)?;
         let cache = Arc::new(MaskCache::new(self.cache_capacity));
-        let engine = self
-            .build_engine(repo, global_ids, opts)
-            .with_mask_cache(cache);
+        let shard = self.build_shard(repo.clone(), global_ids.to_vec(), cache, 0);
         self.ids_in_use.extend(global_ids.iter().copied());
-        self.shards.push(Shard {
-            engine,
-            global_ids: global_ids.to_vec(),
-            dim: repo.dim(),
-            bounds: shard_bounds(repo),
-            datasets: repo.datasets().to_vec(),
-            queries: AtomicU64::new(0),
-        });
+        self.shards.push(shard);
         Ok(self.shards.len() - 1)
     }
 
@@ -642,139 +619,53 @@ impl ShardedEngine {
     /// refresh re-lands the shard). The replacement engine **inherits the
     /// shard's mask cache with its generation bumped**: the shard's stale
     /// masks are invalidated (and its hit/miss accounting continues),
-    /// while every other shard's cache is untouched.
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`shard` out of range,
-    /// `global_ids.len() != repo.len()`, an id already served by a
-    /// *different* shard — re-using the replaced shard's ids is the normal
-    /// case); see [`try_rebuild_shard`](Self::try_rebuild_shard) for the
-    /// non-panicking variant.
-    pub fn rebuild_shard(&mut self, shard: usize, repo: &Repository, global_ids: &[GlobalId]) {
-        self.rebuild_shard_opts(shard, repo, global_ids, &BuildOptions::default());
-    }
-
-    /// [`rebuild_shard`](Self::rebuild_shard) with an explicit worker-pool
-    /// configuration for the build.
-    pub fn rebuild_shard_opts(
-        &mut self,
-        shard: usize,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) {
-        self.try_rebuild_shard_opts(shard, repo, global_ids, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`rebuild_shard`](Self::rebuild_shard): a rejected
-    /// rebuild returns the typed [`IngestError`] and leaves the service —
-    /// including the shard being replaced — untouched.
+    /// while every other shard's cache is untouched. A rejected rebuild
+    /// (`shard` out of range, `global_ids.len() != repo.len()`, an id
+    /// already served by a *different* shard — re-using the replaced
+    /// shard's ids is the normal case) returns the typed [`IngestError`]
+    /// and leaves the service — including the shard being replaced —
+    /// untouched.
     pub fn try_rebuild_shard(
         &mut self,
         shard: usize,
         repo: &Repository,
         global_ids: &[GlobalId],
     ) -> Result<(), IngestError> {
-        self.try_rebuild_shard_opts(shard, repo, global_ids, &BuildOptions::default())
-    }
-
-    /// [`try_rebuild_shard`](Self::try_rebuild_shard) with an explicit
-    /// worker-pool configuration for the build.
-    pub fn try_rebuild_shard_opts(
-        &mut self,
-        shard: usize,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) -> Result<(), IngestError> {
-        if shard >= self.shards.len() {
-            return Err(IngestError::NoSuchShard {
-                shard,
-                n_shards: self.shards.len(),
-            });
-        }
+        self.check_shard(shard)?;
         // Validate against every *other* shard, then build — until the
         // commit below the old shard keeps serving with intact uniqueness
         // bookkeeping.
         self.validate_ids(repo, global_ids, Some(shard))?;
-        let cache = Arc::clone(self.shards[shard].engine.mask_cache());
-        let engine = self
-            .build_engine(repo, global_ids, opts)
-            .with_mask_cache(cache);
+        let old = &self.shards[shard];
+        let cache = Arc::clone(old.engine.mask_cache());
+        let queries = old.queries.load(Ordering::Relaxed);
+        let new = self.build_shard(repo.clone(), global_ids.to_vec(), cache, queries);
         // Commit: swap ids, invalidate the carried-over cache, install.
         for id in &self.shards[shard].global_ids {
             self.ids_in_use.remove(id);
         }
         self.ids_in_use.extend(global_ids.iter().copied());
         self.shards[shard].engine.mask_cache().invalidate();
-        let queries = self.shards[shard].queries.load(Ordering::Relaxed);
-        self.shards[shard] = Shard {
-            engine,
-            global_ids: global_ids.to_vec(),
-            dim: repo.dim(),
-            bounds: shard_bounds(repo),
-            datasets: repo.datasets().to_vec(),
-            queries: AtomicU64::new(queries),
-        };
+        self.shards[shard] = new;
         Ok(())
     }
 
-    /// Divides shard `shard` in two with the default worker pool: the
-    /// datasets whose global ids are in `move_ids` (the *assignment*)
-    /// move to a new shard whose index is returned; the rest stay where
-    /// they are. Ids and per-dataset sampling seeds are untouched, so no
-    /// answer changes — pinned by `tests/shard_equivalence.rs`. The
-    /// staying side inherits the shard's [`MaskCache`] with its
-    /// generation bumped; the new shard starts with a fresh cache; every
-    /// other shard's cache is untouched.
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`shard` out of range, an id not
-    /// held by the shard, an assignment leaving a side empty); see
-    /// [`try_split_shard`](Self::try_split_shard) for the non-panicking
-    /// variant.
-    pub fn split_shard(&mut self, shard: usize, move_ids: &[GlobalId]) -> usize {
-        self.split_shard_opts(shard, move_ids, &BuildOptions::default())
-    }
-
-    /// [`split_shard`](Self::split_shard) with an explicit worker-pool
-    /// configuration for the two rebuilds.
-    pub fn split_shard_opts(
-        &mut self,
-        shard: usize,
-        move_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) -> usize {
-        self.try_split_shard_opts(shard, move_ids, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`split_shard`](Self::split_shard): a rejected split
-    /// returns the typed [`IngestError`] and leaves the service —
-    /// including the shard it named — untouched.
+    /// Divides shard `shard` in two: the datasets whose global ids are in
+    /// `move_ids` (the *assignment*) move to a new shard whose index is
+    /// returned; the rest stay where they are. Ids and per-dataset
+    /// sampling seeds are untouched, so no answer changes — pinned by
+    /// `tests/shard_equivalence.rs`. The staying side inherits the shard's
+    /// [`MaskCache`] with its generation bumped; the new shard starts with
+    /// a fresh cache; every other shard's cache is untouched. A rejected
+    /// split (`shard` out of range, an id not held by the shard, an
+    /// assignment leaving a side empty) returns the typed [`IngestError`]
+    /// and leaves the service — including the shard it named — untouched.
     pub fn try_split_shard(
         &mut self,
         shard: usize,
         move_ids: &[GlobalId],
     ) -> Result<usize, IngestError> {
-        self.try_split_shard_opts(shard, move_ids, &BuildOptions::default())
-    }
-
-    /// [`try_split_shard`](Self::try_split_shard) with an explicit
-    /// worker-pool configuration.
-    pub fn try_split_shard_opts(
-        &mut self,
-        shard: usize,
-        move_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) -> Result<usize, IngestError> {
-        if shard >= self.shards.len() {
-            return Err(IngestError::NoSuchShard {
-                shard,
-                n_shards: self.shards.len(),
-            });
-        }
+        self.check_shard(shard)?;
         // Validate the assignment: distinct ids, every one held by the
         // split shard, neither side empty.
         let src = &self.shards[shard];
@@ -811,89 +702,34 @@ impl ShardedEngine {
                 stay_ids.push(id);
             }
         }
-        let stay_repo = Repository::new(stay_sets);
-        let move_repo = Repository::new(move_sets);
-        // Build both replacement engines before touching any state (a
+        // Build both replacement shards before touching any state (a
         // build panic leaves the old shard serving).
         let stay_cache = Arc::clone(src.engine.mask_cache());
-        let dim = src.dim;
-        let stay_engine = self
-            .build_engine(&stay_repo, &stay_ids, opts)
-            .with_mask_cache(stay_cache);
-        let move_engine = self
-            .build_engine(&move_repo, &moved_ids, opts)
-            .with_mask_cache(Arc::new(MaskCache::new(self.cache_capacity)));
+        let stay = self.build_shard(Repository::new(stay_sets), stay_ids, stay_cache, 0);
+        let fresh = Arc::new(MaskCache::new(self.cache_capacity));
+        let moved = self.build_shard(Repository::new(move_sets), moved_ids, fresh, 0);
         // Commit. The id set is unchanged, so `ids_in_use` needs no edit;
         // the carried-over cache is invalidated (generation bump) while
         // every other shard's cache — the fresh one included — is not.
         self.shards[shard].engine.mask_cache().invalidate();
-        let stay_bounds = shard_bounds(&stay_repo);
-        let move_bounds = shard_bounds(&move_repo);
-        self.shards[shard] = Shard {
-            engine: stay_engine,
-            global_ids: stay_ids,
-            dim,
-            bounds: stay_bounds,
-            datasets: stay_repo.into_datasets(),
-            queries: AtomicU64::new(0),
-        };
-        self.shards.push(Shard {
-            engine: move_engine,
-            global_ids: moved_ids,
-            dim,
-            bounds: move_bounds,
-            datasets: move_repo.into_datasets(),
-            queries: AtomicU64::new(0),
-        });
+        self.shards[shard] = stay;
+        self.shards.push(moved);
         self.splits += 1;
         Ok(self.shards.len() - 1)
     }
 
-    /// Coalesces shards `a` and `b` into one with the default worker
-    /// pool, returning the surviving index `min(a, b)` (shards past
-    /// `max(a, b)` shift down by one; the merged shard holds the
-    /// lower-indexed shard's datasets followed by the higher-indexed
-    /// one's). No id changes, so no answer changes — pinned by
-    /// `tests/shard_equivalence.rs`. The surviving slot inherits the
-    /// lower-indexed shard's [`MaskCache`] with its generation bumped;
-    /// the absorbed shard's cache is dropped.
-    ///
-    /// # Panics
-    /// Panics on any [`IngestError`] (`a` or `b` out of range, `a == b`);
-    /// see [`try_merge_shards`](Self::try_merge_shards) for the
-    /// non-panicking variant.
-    pub fn merge_shards(&mut self, a: usize, b: usize) -> usize {
-        self.merge_shards_opts(a, b, &BuildOptions::default())
-    }
-
-    /// [`merge_shards`](Self::merge_shards) with an explicit worker-pool
-    /// configuration for the rebuild.
-    pub fn merge_shards_opts(&mut self, a: usize, b: usize, opts: &BuildOptions) -> usize {
-        self.try_merge_shards_opts(a, b, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`merge_shards`](Self::merge_shards): a rejected
-    /// merge returns the typed [`IngestError`] and leaves the service
-    /// untouched.
+    /// Coalesces shards `a` and `b` into one, returning the surviving
+    /// index `min(a, b)` (shards past `max(a, b)` shift down by one; the
+    /// merged shard holds the lower-indexed shard's datasets followed by
+    /// the higher-indexed one's). No id changes, so no answer changes —
+    /// pinned by `tests/shard_equivalence.rs`. The surviving slot inherits
+    /// the lower-indexed shard's [`MaskCache`] with its generation bumped;
+    /// the absorbed shard's cache is dropped. A rejected merge (`a` or `b`
+    /// out of range, `a == b`) returns the typed [`IngestError`] and
+    /// leaves the service untouched.
     pub fn try_merge_shards(&mut self, a: usize, b: usize) -> Result<usize, IngestError> {
-        self.try_merge_shards_opts(a, b, &BuildOptions::default())
-    }
-
-    /// [`try_merge_shards`](Self::try_merge_shards) with an explicit
-    /// worker-pool configuration.
-    pub fn try_merge_shards_opts(
-        &mut self,
-        a: usize,
-        b: usize,
-        opts: &BuildOptions,
-    ) -> Result<usize, IngestError> {
-        let n_shards = self.shards.len();
-        for &s in &[a, b] {
-            if s >= n_shards {
-                return Err(IngestError::NoSuchShard { shard: s, n_shards });
-            }
-        }
+        self.check_shard(a)?;
+        self.check_shard(b)?;
         if a == b {
             return Err(IngestError::MergeWithSelf { shard: a });
         }
@@ -905,24 +741,12 @@ impl ShardedEngine {
         datasets.extend(self.shards[hi].datasets.iter().cloned());
         let mut global_ids = self.shards[lo].global_ids.clone();
         global_ids.extend_from_slice(&self.shards[hi].global_ids);
-        let repo = Repository::new(datasets);
         let cache = Arc::clone(self.shards[lo].engine.mask_cache());
-        let dim = self.shards[lo].dim;
-        let engine = self
-            .build_engine(&repo, &global_ids, opts)
-            .with_mask_cache(cache);
+        let merged = self.build_shard(Repository::new(datasets), global_ids, cache, 0);
         // Commit: same id set, so `ids_in_use` is untouched; only the
         // surviving slot's (carried) cache generation is bumped.
         self.shards[lo].engine.mask_cache().invalidate();
-        let bounds = shard_bounds(&repo);
-        self.shards[lo] = Shard {
-            engine,
-            global_ids,
-            dim,
-            bounds,
-            datasets: repo.into_datasets(),
-            queries: AtomicU64::new(0),
-        };
+        self.shards[lo] = merged;
         self.shards.remove(hi);
         self.merges += 1;
         Ok(lo)
@@ -942,17 +766,11 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// [`rebalance_plan_with`](Self::rebalance_plan_with) under the
-    /// default [`RebalanceConfig`].
-    pub fn rebalance_plan(&self) -> Vec<RebalanceAction> {
-        self.rebalance_plan_with(&RebalanceConfig::default())
-    }
-
     /// Proposes lifecycle transitions from the current [`ShardLoad`]
-    /// counters: oversized or query-hot shards propose a [`Split`]
-    /// (moving the upper half of their ascending ids), and pairs of small
-    /// non-splitting shards propose a [`Merge`]. The plan only *proposes*
-    /// — the caller applies it (see
+    /// counters under `cfg`: oversized or query-hot shards propose a
+    /// [`Split`] (moving the upper half of their ascending ids), and pairs
+    /// of small non-splitting shards propose a [`Merge`]. The plan only
+    /// *proposes* — the caller applies it (see
     /// [`apply_rebalance`](Self::apply_rebalance)), typically after
     /// policy checks of its own. Actions are ordered for sequential
     /// application: splits first (they never disturb existing indices),
@@ -961,7 +779,7 @@ impl ShardedEngine {
     ///
     /// [`Split`]: RebalanceAction::Split
     /// [`Merge`]: RebalanceAction::Merge
-    pub fn rebalance_plan_with(&self, cfg: &RebalanceConfig) -> Vec<RebalanceAction> {
+    pub fn rebalance_plan(&self, cfg: &RebalanceConfig) -> Vec<RebalanceAction> {
         let loads = self.shard_loads();
         if loads.is_empty() {
             return Vec::new();
@@ -1011,28 +829,18 @@ impl ShardedEngine {
         plan
     }
 
-    /// Applies a rebalance plan in order with the default worker pool,
-    /// stopping at (and returning) the first rejection — by construction
+    /// Applies a rebalance plan in order, stopping at (and returning) the
+    /// first rejection — by construction
     /// [`rebalance_plan`](Self::rebalance_plan)'s output applies cleanly
     /// against the state it was computed from.
     pub fn apply_rebalance(&mut self, plan: &[RebalanceAction]) -> Result<(), IngestError> {
-        self.apply_rebalance_opts(plan, &BuildOptions::default())
-    }
-
-    /// [`apply_rebalance`](Self::apply_rebalance) with an explicit
-    /// worker-pool configuration.
-    pub fn apply_rebalance_opts(
-        &mut self,
-        plan: &[RebalanceAction],
-        opts: &BuildOptions,
-    ) -> Result<(), IngestError> {
         for action in plan {
             match action {
                 RebalanceAction::Split { shard, move_ids } => {
-                    self.try_split_shard_opts(*shard, move_ids, opts)?;
+                    self.try_split_shard(*shard, move_ids)?;
                 }
                 RebalanceAction::Merge { a, b } => {
-                    self.try_merge_shards_opts(*a, *b, opts)?;
+                    self.try_merge_shards(*a, *b)?;
                 }
             }
         }
@@ -1104,16 +912,15 @@ impl ShardedEngine {
         })
     }
 
-    /// (expression, shard) scatter units the bounding-box routing tier
-    /// skipped over the service lifetime.
+    /// (expression, shard) scatter units routing skipped with a zero mass
+    /// bound over the service lifetime (see the module docs).
     pub fn shards_routed_past(&self) -> u64 {
         self.routed_past.load(Ordering::Relaxed)
     }
 
-    /// Scatter units the synopsis mass bound skipped that the box tier
-    /// could not (disjoint from
-    /// [`shards_routed_past`](Self::shards_routed_past); total skipped is
-    /// the sum).
+    /// Scatter units routing skipped with a positive mass bound (disjoint
+    /// from [`shards_routed_past`](Self::shards_routed_past); total
+    /// skipped is the sum).
     pub fn shards_routed_by_synopsis(&self) -> u64 {
         self.routed_by_synopsis.load(Ordering::Relaxed)
     }
@@ -1260,9 +1067,10 @@ impl ShardedEngine {
     fn eval_unit(&self, plan: &QueryPlan, s: usize, scratch: &mut QueryScratch) -> Unit {
         let shard = &self.shards[s];
         let started = Instant::now();
-        let skip = plan.routing.as_deref().map_or(Skip::No, |clauses| {
-            Self::shard_skip(clauses, shard, self.synopsis_route)
-        });
+        let skip = plan
+            .routing
+            .as_deref()
+            .map_or(Skip::No, |clauses| Self::shard_skip(clauses, shard));
         let routed = Instant::now();
         self.telemetry.routing.record_duration(routed - started);
         let counter = match skip {
@@ -1319,55 +1127,35 @@ impl ShardedEngine {
         (answers, report)
     }
 
-    /// The verdict for one shard against a pre-clamped plan. The box tier
-    /// runs first and reproduces the historical rule exactly (so
-    /// `shards_routed_past` keeps its meaning); the synopsis tier only
-    /// sees shards the box could not prove silent. Both require every
-    /// clause to carry a skip-proving literal; see the module docs for the
-    /// soundness argument.
-    fn shard_skip(plan: &[PlanClause], shard: &Shard, synopsis_route: bool) -> Skip {
-        let Some(bounds) = &shard.bounds else {
-            // A NaN coordinate was seen: containment reasoning is unsound
-            // (and the engine carries no synopsis either).
+    /// The verdict for one shard against a pre-clamped plan: skip when
+    /// every clause carries a literal with `U + margin < a_θ` (see the
+    /// module docs for the soundness argument). A clause's proof is the
+    /// strongest its literals give — a zero bound beats a positive one —
+    /// and the unit's verdict is its weakest clause's proof.
+    fn shard_skip(plan: &[PlanClause], shard: &Shard) -> Skip {
+        let Some(syn) = shard.engine.routing_synopsis() else {
+            // A NaN coordinate was seen: interval reasoning is unsound.
             return Skip::No;
         };
         let margin = shard.engine.ptile_margin();
-        let box_skip = plan.iter().all(|c| match c {
-            PlanClause::Vacuous => true,
-            PlanClause::Lits(lits) => lits.iter().any(|l| {
-                // Disjoint from the raw-point box in some attribute, and
-                // the clamped lower bound clears the zero-mass path.
-                l.lo > margin
-                    && l.rect
+        plan.iter()
+            .try_fold(Skip::Box, |verdict, c| {
+                let proof = match c {
+                    PlanClause::Vacuous => Skip::Box,
+                    PlanClause::Lits(lits) => lits
                         .iter()
-                        .zip(bounds)
-                        .any(|(q, b)| q.1 < b.0 || q.0 > b.1)
-            }),
-        });
-        if box_skip {
-            return Skip::Box;
-        }
-        if !synopsis_route {
-            return Skip::No;
-        }
-        let Some(syn) = shard.engine.routing_synopsis() else {
-            return Skip::No;
-        };
-        let syn_skip = plan.iter().all(|c| match c {
-            PlanClause::Vacuous => true,
-            PlanClause::Lits(lits) => lits.iter().any(|l| {
-                // U + margin < a_θ: neither the main reporting path nor
-                // the zero-mass empty-slab path can fire for any member
-                // dataset (at U = 0 this is exactly the box tier's
-                // `margin < lo` precondition).
-                syn.mass_bound(&l.rect) + margin < l.lo
-            }),
-        });
-        if syn_skip {
-            Skip::Synopsis
-        } else {
-            Skip::No
-        }
+                        .map(|l| match syn.mass_bound(&l.rect) {
+                            u if u + margin >= l.lo => Skip::No,
+                            0.0 => Skip::Box,
+                            _ => Skip::Synopsis,
+                        })
+                        .min()
+                        .unwrap_or(Skip::No),
+                };
+                // An unproven clause settles the unit: stop early.
+                (proof != Skip::No).then_some(verdict.max(proof))
+            })
+            .unwrap_or(Skip::No)
     }
 
     /// True iff every preference rank the expression uses is indexed —
@@ -1444,23 +1232,44 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Builds one shard engine with the service-wide parameters, seeding
-    /// every dataset's sampling RNG by its **global id** (not its
-    /// shard-local position): a dataset draws the same sample wherever it
-    /// lands, so re-sharding cannot perturb sampled builds.
-    fn build_engine(
+    /// `Err(NoSuchShard)` unless `shard` indexes a served shard.
+    fn check_shard(&self, shard: usize) -> Result<(), IngestError> {
+        let n_shards = self.shards.len();
+        if shard < n_shards {
+            Ok(())
+        } else {
+            Err(IngestError::NoSuchShard { shard, n_shards })
+        }
+    }
+
+    /// Builds one shard on the engine's worker pool: an engine with the
+    /// service-wide parameters serving through `cache`, its load counter
+    /// starting at `queries`. Every dataset's sampling RNG is seeded by
+    /// its **global id** (not its shard-local position): a dataset draws
+    /// the same sample wherever it lands, so re-sharding cannot perturb
+    /// sampled builds.
+    fn build_shard(
         &self,
-        repo: &Repository,
-        global_ids: &[GlobalId],
-        opts: &BuildOptions,
-    ) -> MixedQueryEngine {
-        MixedQueryEngine::build_opts(
-            repo,
+        repo: Repository,
+        global_ids: Vec<GlobalId>,
+        cache: Arc<MaskCache>,
+        queries: u64,
+    ) -> Shard {
+        let engine = MixedQueryEngine::build_opts(
+            &repo,
             &self.ks,
-            self.ptile_params.clone().with_seed_ids(global_ids.to_vec()),
+            self.ptile_params.clone().with_seed_ids(global_ids.clone()),
             self.pref_params.clone(),
-            opts,
+            &self.build_opts,
         )
+        .with_mask_cache(cache);
+        Shard {
+            engine,
+            global_ids,
+            dim: repo.dim(),
+            datasets: repo.into_datasets(),
+            queries: AtomicU64::new(queries),
+        }
     }
 }
 
@@ -1496,27 +1305,6 @@ fn routing_clauses(dnf: &Dnf, dim: usize) -> Option<Vec<PlanClause>> {
             (!lits.is_empty()).then_some(PlanClause::Lits(lits))
         })
         .collect()
-}
-
-/// Per-attribute `(min, max)` over every raw point in the shard, or `None`
-/// when a NaN coordinate makes containment reasoning unsound (routing is
-/// then disabled for the shard; answers are unaffected).
-fn shard_bounds(repo: &Repository) -> Option<Vec<(f64, f64)>> {
-    let d = repo.dim();
-    let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); d];
-    for points in repo.point_sets() {
-        for p in points {
-            for (h, b) in bounds.iter_mut().enumerate() {
-                let x = p[h];
-                if x.is_nan() {
-                    return None;
-                }
-                b.0 = b.0.min(x);
-                b.1 = b.1.max(x);
-            }
-        }
-    }
-    Some(bounds)
 }
 
 #[cfg(test)]
@@ -1816,10 +1604,14 @@ mod tests {
                 shard: 9,
                 n_shards: 2,
             }),
+            Box::new(IngestError::MergeWithSelf { shard: 0 }),
         ];
         assert!(errors[0].to_string().contains("already served"));
         assert!(errors[1].to_string().contains("repeats within"));
         assert!(errors[2].to_string().contains("no such shard: 9"));
+        assert!(errors[3]
+            .to_string()
+            .contains("cannot merge shard 0 with itself"));
     }
 
     #[test]
@@ -1827,11 +1619,12 @@ mod tests {
         let mut svc = service();
         // Shard 1's dataset moves from the middle to the low band; its id
         // may be reused because the rebuild releases it first.
-        svc.rebuild_shard(
+        svc.try_rebuild_shard(
             1,
             &Repository::new(vec![dataset("mid2", &[4.0, 6.0])]),
             &[5],
-        );
+        )
+        .unwrap();
         assert_eq!(svc.query(&low_expr()), Ok(vec![5, 7]));
     }
 
@@ -1848,11 +1641,12 @@ mod tests {
         let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
         let (hits_warm, misses_warm) = svc.cache_stats();
         assert_eq!((hits_warm, misses_warm), (2, 2), "second batch all cached");
-        svc.rebuild_shard(
+        svc.try_rebuild_shard(
             1,
             &Repository::new(vec![dataset("mid2", &[47.0, 53.0])]),
             &[5],
-        );
+        )
+        .unwrap();
         let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
         let (hits_after, misses_after) = svc.cache_stats();
         assert_eq!(
@@ -1988,23 +1782,6 @@ mod tests {
     }
 
     #[test]
-    fn nan_points_disable_routing_bounds() {
-        // NaN data cannot currently be *built* (the coordinate grids
-        // reject it), so the scatter-everywhere guard is pinned at the
-        // summary level: a NaN anywhere in the shard yields no bounding
-        // box, and `shard_skip` returns `Skip::No` for a boundless shard
-        // before consulting margins or synopses. The synopsis side of the
-        // same guard is pinned in `ptile::routing`.
-        let nan_repo = Repository::new(vec![Dataset::from_rows(
-            "nan",
-            vec![vec![0.0], vec![f64::NAN], vec![2.0]],
-        )]);
-        assert!(shard_bounds(&nan_repo).is_none());
-        let clean = Repository::new(vec![dataset("clean", &[1.0, 2.0])]);
-        assert_eq!(shard_bounds(&clean), Some(vec![(1.0, 2.0)]));
-    }
-
-    #[test]
     fn synopsis_routes_past_interior_gaps_the_box_cannot_see() {
         // Shard 0's datasets sit at the two extremes of the value range,
         // so its bounding box [0, 100] overlaps an interior query the
@@ -2043,12 +1820,6 @@ mod tests {
         assert_eq!(svc.shards_routed_by_synopsis(), 2);
         let (_, m) = svc.cache_stats();
         assert_eq!(m, 1, "only shard 1 ever computed a mask");
-        // The box-only configuration still answers identically — the
-        // synopsis tier is pure pruning.
-        let box_only = build().with_synopsis_routing(false);
-        assert_eq!(box_only.query(&interior), Ok(vec![3]));
-        assert_eq!(box_only.shards_routed_by_synopsis(), 0);
-        assert_eq!(box_only.shards_routed_past(), 0);
         assert_eq!(
             svc.stats_snapshot().shards_routed_by_synopsis,
             2,
@@ -2083,7 +1854,7 @@ mod tests {
         let before = svc.query(&all);
         assert_eq!(before, Ok(vec![3, 5, 7]));
         // Shard 0 holds ids {7, 3}; move 3 out into its own shard.
-        let new = svc.split_shard(0, &[3]);
+        let new = svc.try_split_shard(0, &[3]).unwrap();
         assert_eq!(new, 2);
         assert_eq!(svc.n_shards(), 3);
         assert_eq!(svc.global_ids(0), &[7]);
@@ -2093,7 +1864,7 @@ mod tests {
         assert_eq!(svc.query(&low_expr()), Ok(vec![7]));
         // Merge it back; the surviving slot is min(0, 2) = 0 and the
         // merged shard appends the absorbed shard's datasets.
-        assert_eq!(svc.merge_shards(2, 0), 0);
+        assert_eq!(svc.try_merge_shards(2, 0).unwrap(), 0);
         assert_eq!(svc.n_shards(), 2);
         assert_eq!(svc.global_ids(0), &[7, 3]);
         assert_eq!(svc.query(&all), before);
@@ -2167,20 +1938,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no such shard")]
-    fn split_panicking_wrapper_preserves_messages() {
-        let mut svc = service();
-        svc.split_shard(9, &[7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge shard 0 with itself")]
-    fn merge_panicking_wrapper_preserves_messages() {
-        let mut svc = service();
-        svc.merge_shards(0, 0);
-    }
-
-    #[test]
     fn transitions_scope_cache_invalidation_to_the_touched_shards() {
         let mut svc = service();
         let _ = svc.query_batch_opts(&[wide_expr()], &BuildOptions::serial());
@@ -2188,13 +1945,13 @@ mod tests {
         let gen1 = svc.shard_engine(1).mask_cache().generation();
         // Split shard 0: its carried cache bumps, shard 1's does not, and
         // the new shard starts on a fresh cache object.
-        svc.split_shard(0, &[3]);
+        svc.try_split_shard(0, &[3]).unwrap();
         assert_eq!(svc.shard_engine(0).mask_cache().generation(), gen0 + 1);
         assert_eq!(svc.shard_engine(1).mask_cache().generation(), gen1);
         assert_eq!(svc.shard_engine(2).mask_cache().len(), 0);
         // Merge shards 1 and 2: the surviving slot (1) carries shard 1's
         // cache bumped again; shard 0 is untouched.
-        let merged = svc.merge_shards(1, 2);
+        let merged = svc.try_merge_shards(1, 2).unwrap();
         assert_eq!(merged, 1);
         assert_eq!(svc.shard_engine(0).mask_cache().generation(), gen0 + 1);
         assert_eq!(svc.shard_engine(1).mask_cache().generation(), gen1 + 1);
@@ -2211,17 +1968,18 @@ mod tests {
         assert_eq!(loads[1].queries, 0);
         assert_eq!(loads[0].datasets, 2);
         // A rebuild keeps the counter (the shard keeps its identity)...
-        svc.rebuild_shard(
+        svc.try_rebuild_shard(
             0,
             &Repository::new(vec![
                 dataset("low", &[1.0, 2.0, 3.0]),
                 dataset("high", &[90.0, 95.0]),
             ]),
             &[7, 3],
-        );
+        )
+        .unwrap();
         assert_eq!(svc.shard_loads()[0].queries, 2);
         // ...while a split resets both sides.
-        svc.split_shard(0, &[3]);
+        svc.try_split_shard(0, &[3]).unwrap();
         assert_eq!(svc.shard_loads()[0].queries, 0);
         assert_eq!(svc.shard_loads()[2].queries, 0);
     }
@@ -2252,7 +2010,7 @@ mod tests {
             merge_under: 2,
             hot_factor: 4.0,
         };
-        let plan = svc.rebalance_plan_with(&cfg);
+        let plan = svc.rebalance_plan(&cfg);
         assert_eq!(
             plan,
             vec![
@@ -2273,7 +2031,7 @@ mod tests {
         assert_eq!(svc.n_datasets(), 6, "transitions conserve the catalog");
         assert_eq!(svc.query(&all), before);
         // With balanced shards and no query skew, the next plan is empty.
-        assert_eq!(svc.rebalance_plan_with(&cfg), vec![]);
+        assert_eq!(svc.rebalance_plan(&cfg), vec![]);
     }
 
     #[test]
@@ -2307,7 +2065,7 @@ mod tests {
             hot_factor: 1.5,
         };
         // Shard 0 carries all the load: > 1.5× the mean of 10.
-        let plan = svc.rebalance_plan_with(&cfg);
+        let plan = svc.rebalance_plan(&cfg);
         assert_eq!(
             plan,
             vec![RebalanceAction::Split {

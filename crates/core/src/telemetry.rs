@@ -253,9 +253,9 @@ pub struct QueryTrace {
     pub total_ns: u64,
     /// Scatter units the engine actually evaluated for this request.
     pub shards_scattered: u32,
-    /// Scatter units skipped by the bounding-box routing tier.
+    /// Scatter units routing skipped with a zero mass bound.
     pub shards_skipped_box: u32,
-    /// Scatter units skipped by the synopsis mass-bound routing tier.
+    /// Scatter units routing skipped with a positive mass bound.
     pub shards_skipped_synopsis: u32,
     /// Request frame payload bytes read.
     pub bytes_in: u64,

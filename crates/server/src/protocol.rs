@@ -375,7 +375,8 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Underlying index queries across shards.
     pub index_queries: u64,
-    /// (expression, shard) scatter units skipped by shard routing.
+    /// (expression, shard) scatter units shard routing skipped with a
+    /// zero mass bound.
     pub shards_routed_past: u64,
     /// Shards currently served.
     pub n_shards: u64,
@@ -408,10 +409,9 @@ pub struct ServerStats {
     /// list extends by appending, so older clients keep decoding the
     /// prefix they know.
     pub requests_deduped: u64,
-    /// (expression, shard) scatter units skipped by the synopsis
-    /// mass-bound routing tier — pruning the bounding-box tier
-    /// (`shards_routed_past`) could not prove. Appended after
-    /// `requests_deduped` per the newest-last rule.
+    /// (expression, shard) scatter units shard routing skipped with a
+    /// positive mass bound (disjoint from `shards_routed_past`).
+    /// Appended after `requests_deduped` per the newest-last rule.
     pub shards_routed_by_synopsis: u64,
 }
 

@@ -96,9 +96,10 @@ pub struct ServerConfig {
     /// connection count — two threads serve thousands of idle sessions.
     pub io_threads: usize,
     /// Worker threads each executed query fans out over
-    /// (`ShardedEngine::execute`); `None` uses the engine
-    /// default (`DDS_THREADS` / all cores). Builds triggered by ingest use
-    /// the same setting.
+    /// (`ShardedEngine::execute`) and each ingest or lifecycle build runs
+    /// on. [`DdsServer::serve`] applies it once to the engine's worker
+    /// pool (`ShardedEngine::with_build_options`); `None` keeps the
+    /// engine's pool (by default `DDS_THREADS` / all cores).
     pub query_threads: Option<usize>,
     /// Upper bound on a frame body, both directions.
     pub max_frame_len: u32,
@@ -354,13 +355,6 @@ impl Shared {
         self.engine.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn build_opts(&self) -> BuildOptions {
-        match self.cfg.query_threads {
-            Some(t) => BuildOptions::with_threads(t),
-            None => BuildOptions::default(),
-        }
-    }
-
     fn signal_shutdown(&self) {
         if !self.shutting_down.swap(true, Ordering::SeqCst) {
             // Unblock the listener's accept with a throwaway connection.
@@ -450,15 +444,19 @@ pub struct DdsServer {
 
 impl DdsServer {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and starts
-    /// serving `engine`.
+    /// serving `engine`, on the worker pool
+    /// [`ServerConfig::query_threads`] names.
     pub fn serve(
-        engine: ShardedEngine,
+        mut engine: ShardedEngine,
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
     ) -> io::Result<DdsServer> {
         assert!(cfg.queue_depth >= 1, "admission queue needs depth >= 1");
         assert!(cfg.executors >= 1, "need at least one executor");
         assert!(cfg.io_threads >= 1, "need at least one I/O thread");
+        if let Some(t) = cfg.query_threads {
+            engine = engine.with_build_options(BuildOptions::with_threads(t));
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let mut reactors = Vec::with_capacity(cfg.io_threads);
@@ -1410,7 +1408,7 @@ fn run_queries(
         .map(|e| engine.plan(e))
         .collect::<Result<Vec<QueryPlan>, _>>()
         .map_err(|e| ServerError::new(ServerErrorKind::InvalidQuery, e.to_string()))?;
-    let (answers, r) = engine.execute(&plans, &shared.build_opts());
+    let (answers, r) = engine.execute(&plans, engine.build_options());
     *report = r;
     Ok(answers)
 }
@@ -1447,7 +1445,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let repo = Repository::new(datasets);
             let mut engine = shared.engine_write();
-            match engine.try_add_shard_opts(&repo, &global_ids, &shared.build_opts()) {
+            match engine.try_add_shard(&repo, &global_ids) {
                 Ok(shard) => Response::ShardAdded {
                     shard: shard as u32,
                 },
@@ -1463,12 +1461,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let repo = Repository::new(datasets);
             let mut engine = shared.engine_write();
-            match engine.try_rebuild_shard_opts(
-                shard as usize,
-                &repo,
-                &global_ids,
-                &shared.build_opts(),
-            ) {
+            match engine.try_rebuild_shard(shard as usize, &repo, &global_ids) {
                 Ok(()) => Response::Done,
                 Err(e) => Response::Error(ServerError::new(ServerErrorKind::Ingest, e.to_string())),
             }
@@ -1481,7 +1474,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
         Request::SplitShard { shard, move_ids } => {
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let mut engine = shared.engine_write();
-            match engine.try_split_shard_opts(shard as usize, &move_ids, &shared.build_opts()) {
+            match engine.try_split_shard(shard as usize, &move_ids) {
                 Ok(new_shard) => Response::ShardAdded {
                     shard: new_shard as u32,
                 },
@@ -1494,7 +1487,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
         Request::MergeShards { a, b } => {
             shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
             let mut engine = shared.engine_write();
-            match engine.try_merge_shards_opts(a as usize, b as usize, &shared.build_opts()) {
+            match engine.try_merge_shards(a as usize, b as usize) {
                 Ok(survivor) => Response::ShardAdded {
                     shard: survivor as u32,
                 },

@@ -98,7 +98,7 @@ fn soak_one_seed(seed: u64) {
     };
     let plan = FaultPlan::seeded(schedule.seed).with_fault_per_mille(schedule.fault_per_mille);
 
-    let mut mirror = empty_engine();
+    let mut mirror = empty_engine().with_build_options(BuildOptions::serial());
     let server = DdsServer::serve(empty_engine(), "127.0.0.1:0", ServerConfig::default())
         .unwrap_or_else(|e| panic!("seed {seed:#x}: bind: {e}"));
     let proxy = ChaosProxy::spawn(server.local_addr(), plan)
@@ -111,7 +111,6 @@ fn soak_one_seed(seed: u64) {
     // the SAME request_id, so the server lands each shard exactly once
     // no matter how many duplicates the retries produce.
     let spec = RepoSpec::mixed(12, 40, 1, seed.wrapping_add(0x50AC));
-    let serial = BuildOptions::serial();
     for (i, shard) in spec.shards(3).into_iter().enumerate() {
         let repo = Repository::from_point_sets(shard.sets);
         let request_id = (seed << 8) | 0x1000 | i as u64;
@@ -124,7 +123,7 @@ fn soak_one_seed(seed: u64) {
                 ),
             }
         };
-        let mirror_idx = mirror.add_shard_opts(&repo, &shard.global_ids, &serial);
+        let mirror_idx = mirror.add_shard(&repo, &shard.global_ids);
         assert_eq!(served_idx, mirror_idx, "seed {seed:#x}: shard index {i}");
     }
 
@@ -157,7 +156,7 @@ fn soak_one_seed(seed: u64) {
         }
     }
     mirror
-        .try_split_shard_opts(0, &move_ids, &serial)
+        .try_split_shard(0, &move_ids)
         .unwrap_or_else(|e| panic!("seed {seed:#x}: mirror split: {e}"));
     loop {
         match client.merge_shards(3, 0) {
@@ -170,7 +169,7 @@ fn soak_one_seed(seed: u64) {
         }
     }
     mirror
-        .try_merge_shards_opts(3, 0, &serial)
+        .try_merge_shards(3, 0)
         .unwrap_or_else(|e| panic!("seed {seed:#x}: mirror merge: {e}"));
     for (j, e) in exprs.iter().enumerate() {
         let got = query_until_answered(&mut client, e, seed);
@@ -282,12 +281,12 @@ fn clean_server_close_is_a_typed_connection_closed() {
 #[test]
 fn client_side_faults_heal_transparently_with_retries_counted() {
     let spec = RepoSpec::mixed(6, 30, 1, 0xFA17);
-    let mut mirror = empty_engine();
-    let mut served = empty_engine();
+    let mut mirror = empty_engine().with_build_options(BuildOptions::serial());
+    let mut served = empty_engine().with_build_options(BuildOptions::serial());
     for shard in spec.shards(2) {
         let repo = Repository::from_point_sets(shard.sets);
-        mirror.add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial());
-        served.add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial());
+        mirror.add_shard(&repo, &shard.global_ids);
+        served.add_shard(&repo, &shard.global_ids);
     }
     let server = DdsServer::serve(served, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     // EVERY connection this client dials suffers a fault plan; the retry

@@ -32,13 +32,10 @@ fn params() -> (PtileBuildParams, PrefBuildParams) {
 fn engine_pair(spec: &RepoSpec, shards: usize) -> (ShardedEngine, ShardedEngine) {
     let build = || {
         let (ptile, pref) = params();
-        let mut svc = ShardedEngine::new(&[1], ptile, pref);
+        let mut svc =
+            ShardedEngine::new(&[1], ptile, pref).with_build_options(BuildOptions::serial());
         for shard in spec.shards(shards) {
-            svc.add_shard_opts(
-                &Repository::from_point_sets(shard.sets),
-                &shard.global_ids,
-                &BuildOptions::serial(),
-            );
+            svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
         }
         svc
     };
@@ -152,7 +149,8 @@ fn ingest_query_rebuild_stats_shutdown_round_trip() {
     // The server starts EMPTY: the whole catalog arrives through the
     // client, and a local mirror applies the same ops for equivalence.
     let (ptile, pref) = params();
-    let mut local = ShardedEngine::new(&[1], ptile, pref);
+    let mut local =
+        ShardedEngine::new(&[1], ptile, pref).with_build_options(BuildOptions::serial());
     let served = {
         let (ptile, pref) = params();
         ShardedEngine::new(&[1], ptile, pref)
@@ -168,7 +166,7 @@ fn ingest_query_rebuild_stats_shutdown_round_trip() {
     for shard in spec.shards(3) {
         let repo = Repository::from_point_sets(shard.sets);
         let served_idx = client.add_shard(&repo, &shard.global_ids).expect("add");
-        let local_idx = local.add_shard_opts(&repo, &shard.global_ids, &BuildOptions::serial());
+        let local_idx = local.add_shard(&repo, &shard.global_ids);
         assert_eq!(served_idx, local_idx, "shard indexes agree");
     }
     let compare = |client: &mut DdsClient, local: &ShardedEngine| {
@@ -199,7 +197,9 @@ fn ingest_query_rebuild_stats_shutdown_round_trip() {
     client
         .rebuild_shard(1, &repo, &refreshed.global_ids)
         .expect("rebuild");
-    local.rebuild_shard_opts(1, &repo, &refreshed.global_ids, &BuildOptions::serial());
+    local
+        .try_rebuild_shard(1, &repo, &refreshed.global_ids)
+        .expect("local rebuild");
     compare(&mut client, &local);
 
     // A rebuild of a shard that does not exist is typed too.

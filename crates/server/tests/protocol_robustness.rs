@@ -344,14 +344,14 @@ fn tiny_server_with(cfg: ServerConfig) -> DdsServer {
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized(),
     );
-    let mut engine = ShardedEngine::new(&[1], ptile, pref);
-    engine.add_shard_opts(
+    let mut engine =
+        ShardedEngine::new(&[1], ptile, pref).with_build_options(BuildOptions::serial());
+    engine.add_shard(
         &Repository::new(vec![Dataset::from_rows(
             "d",
             vec![vec![1.0], vec![2.0], vec![3.0]],
         )]),
         &[0],
-        &BuildOptions::serial(),
     );
     DdsServer::serve(engine, "127.0.0.1:0", cfg).expect("bind")
 }
@@ -526,14 +526,14 @@ fn executor_panics_are_isolated_and_answered_typed() {
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized(),
     );
-    let mut engine = ShardedEngine::new(&[1], ptile, pref);
-    engine.add_shard_opts(
+    let mut engine =
+        ShardedEngine::new(&[1], ptile, pref).with_build_options(BuildOptions::serial());
+    engine.add_shard(
         &Repository::new(vec![Dataset::from_rows(
             "d",
             vec![vec![1.0], vec![2.0], vec![3.0]],
         )]),
         &[0],
-        &BuildOptions::serial(),
     );
     let cfg = ServerConfig {
         executors: 2,
@@ -574,12 +574,13 @@ fn oversized_responses_get_a_typed_error_not_a_dead_connection() {
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized(),
     );
-    let mut engine = ShardedEngine::new(&[1], ptile, pref);
+    let mut engine =
+        ShardedEngine::new(&[1], ptile, pref).with_build_options(BuildOptions::serial());
     let datasets: Vec<Dataset> = (0..40)
         .map(|i| Dataset::from_rows(format!("d{i}"), vec![vec![i as f64]]))
         .collect();
     let ids: Vec<u64> = (0..40).collect();
-    engine.add_shard_opts(&Repository::new(datasets), &ids, &BuildOptions::serial());
+    engine.add_shard(&Repository::new(datasets), &ids);
     let cfg = ServerConfig {
         max_frame_len: 128,
         ..ServerConfig::default()

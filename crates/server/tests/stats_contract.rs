@@ -146,11 +146,11 @@ fn sessions_active_is_a_gauge_that_returns_to_zero() {
         &[1],
         PtileBuildParams::exact_centralized(),
         PrefBuildParams::exact_centralized(),
-    );
-    engine.add_shard_opts(
+    )
+    .with_build_options(BuildOptions::serial());
+    engine.add_shard(
         &Repository::new(vec![Dataset::from_rows("d", vec![vec![1.0]])]),
         &[0],
-        &BuildOptions::serial(),
     );
     let server = DdsServer::serve(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
 

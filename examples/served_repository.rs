@@ -91,7 +91,9 @@ fn main() {
     client
         .rebuild_shard(1, &repo, &refreshed.global_ids)
         .expect("rebuild");
-    mirror.rebuild_shard(1, &repo, &refreshed.global_ids);
+    mirror
+        .try_rebuild_shard(1, &repo, &refreshed.global_ids)
+        .expect("mirror rebuild");
     let post = client.query_batch(&exprs).expect("transport");
     assert_eq!(post, mirror.query_batch(&exprs));
     println!(

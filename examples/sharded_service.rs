@@ -92,7 +92,8 @@ fn main() {
     let refreshed = RepoSpec::mixed(240, 250, 1, 0x5EB).shards(4).swap_remove(2);
     let ids = refreshed.global_ids.clone();
     let t3 = Instant::now();
-    svc.rebuild_shard(2, &Repository::from_point_sets(refreshed.sets), &ids);
+    svc.try_rebuild_shard(2, &Repository::from_point_sets(refreshed.sets), &ids)
+        .expect("rebuild");
     println!(
         "rebuilt shard 2 ({} datasets) in {:.1?}; ids {}..{} unchanged",
         ids.len(),

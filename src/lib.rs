@@ -62,7 +62,7 @@
 //! `PtileBuildParams::with_phi_datasets` — see `dds_core::shard`). Each
 //! shard keeps a bounded, generation-tagged cross-call predicate-mask
 //! cache ([`prelude::MaskCache`]); rebuilding a shard invalidates only its
-//! own cache entries. Per-shard value bounding boxes let queries route
+//! own cache entries. A per-shard mass-bound synopsis lets queries route
 //! past shards that provably cannot match — answer-invisible, on by
 //! default.
 //!

@@ -61,19 +61,20 @@ fn sharded(sets: &[Vec<f64>], k: usize) -> ShardedEngine {
     sharded_with_routing(sets, k, true)
 }
 
-/// [`sharded`] with the bounding-box routing fast path switched
+/// [`sharded`] with the routing fast path switched
 /// explicitly (routing defaults to on; the off position only exists for
 /// the routed ≡ unrouted equivalence pins below).
 fn sharded_with_routing(sets: &[Vec<f64>], k: usize, route: bool) -> ShardedEngine {
     let (ptile, pref) = build_params();
-    let mut svc = ShardedEngine::new(&[1], ptile, pref).with_routing(route);
+    let mut svc = ShardedEngine::new(&[1], ptile, pref)
+        .with_routing(route)
+        .with_build_options(BuildOptions::serial());
     let k = k.min(sets.len()).max(1);
     for s in 0..k {
         let members: Vec<usize> = (s..sets.len()).step_by(k).collect();
-        svc.add_shard_opts(
+        svc.add_shard(
             &Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect()),
             &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
-            &BuildOptions::serial(),
         );
     }
     svc
@@ -229,12 +230,12 @@ proptest! {
                 *x += shift;
             }
         }
-        svc.rebuild_shard_opts(
+        svc.try_rebuild_shard(
             0,
             &Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect()),
             &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
-            &BuildOptions::serial(),
-        );
+        )
+        .unwrap();
         let updated_reference = unsharded(&sets);
         let expected: Vec<_> = exprs.iter().map(|e| reference(&updated_reference, e)).collect();
         for t in THREADS {
@@ -303,13 +304,13 @@ fn sampled_builds_match_unsharded_across_shard_counts() {
         .map(|e| reference(&reference_engine, e))
         .collect();
     for k in [1usize, 2, 3] {
-        let mut svc = ShardedEngine::new(&[1], ptile.clone(), pref.clone());
+        let mut svc = ShardedEngine::new(&[1], ptile.clone(), pref.clone())
+            .with_build_options(BuildOptions::serial());
         for s in 0..k.min(n) {
             let members: Vec<usize> = (s..n).step_by(k.min(n)).collect();
-            svc.add_shard_opts(
+            svc.add_shard(
                 &Repository::new(members.iter().map(|&i| dataset_1d(i, &sets[i])).collect()),
                 &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
-                &BuildOptions::serial(),
             );
         }
         assert!(svc.ptile_slack() > 0.0, "shards sample too (k = {k})");
@@ -331,16 +332,15 @@ fn sampled_builds_match_unsharded_across_shard_counts() {
 fn routing_skips_value_separated_shards_and_spares_their_caches() {
     // Shard s holds datasets living in [100s, 100s + 20]: disjoint boxes.
     let (ptile, pref) = build_params();
-    let mut svc = ShardedEngine::new(&[1], ptile, pref);
+    let mut svc = ShardedEngine::new(&[1], ptile, pref).with_build_options(BuildOptions::serial());
     for s in 0..3usize {
         let base = 100.0 * s as f64;
-        svc.add_shard_opts(
+        svc.add_shard(
             &Repository::new(vec![
                 dataset_1d(2 * s, &[base, base + 10.0]),
                 dataset_1d(2 * s + 1, &[base + 15.0, base + 20.0]),
             ]),
             &[2 * s as GlobalId, 2 * s as GlobalId + 1],
-            &BuildOptions::serial(),
         );
     }
     // One narrow query per shard band: each consults exactly one shard.
@@ -381,16 +381,16 @@ fn engine_with_layout(
     ptile: &PtileBuildParams,
     pref: &PrefBuildParams,
 ) -> ShardedEngine {
-    let mut svc = ShardedEngine::new(&[1], ptile.clone(), pref.clone());
+    let mut svc = ShardedEngine::new(&[1], ptile.clone(), pref.clone())
+        .with_build_options(BuildOptions::serial());
     for ids in layout {
-        svc.add_shard_opts(
+        svc.add_shard(
             &Repository::new(
                 ids.iter()
                     .map(|&i| dataset_1d(i as usize, &sets[i as usize]))
                     .collect(),
             ),
             ids,
-            &BuildOptions::serial(),
         );
     }
     svc
@@ -423,13 +423,13 @@ proptest! {
                 let mut ids = svc.global_ids(s).to_vec();
                 ids.sort_unstable();
                 let move_ids = ids.split_off(ids.len() / 2);
-                let born = svc.split_shard_opts(s, &move_ids, &BuildOptions::serial());
+                let born = svc.try_split_shard(s, &move_ids).unwrap();
                 prop_assert_eq!(born, svc.n_shards() - 1, "the new shard lands last");
             }
             // Merge the outermost pair, naming the higher index first —
             // the merged result must not depend on argument order.
             if svc.n_shards() >= 2 {
-                let survivor = svc.merge_shards_opts(svc.n_shards() - 1, 0, &BuildOptions::serial());
+                let survivor = svc.try_merge_shards(svc.n_shards() - 1, 0).unwrap();
                 prop_assert_eq!(survivor, 0, "the merged shard lands at min(a, b)");
             }
             prop_assert_eq!(svc.n_datasets(), sets.len(), "transitions conserve the catalog");
@@ -511,10 +511,10 @@ proptest! {
                 let mut ids = svc.global_ids(s).to_vec();
                 ids.sort_unstable();
                 let move_ids = ids.split_off(ids.len() / 2);
-                svc.split_shard_opts(s, &move_ids, &BuildOptions::serial());
+                svc.try_split_shard(s, &move_ids).unwrap();
             }
             if svc.n_shards() >= 2 {
-                svc.merge_shards_opts(svc.n_shards() - 1, 0, &BuildOptions::serial());
+                svc.try_merge_shards(svc.n_shards() - 1, 0).unwrap();
             }
             let layout: Vec<Vec<GlobalId>> =
                 (0..svc.n_shards()).map(|s| svc.global_ids(s).to_vec()).collect();
@@ -584,7 +584,7 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
                     let j = rng.gen_range(i..ids.len());
                     ids.swap(i, j);
                 }
-                svc.split_shard_opts(s, &ids[..m], &BuildOptions::serial());
+                svc.try_split_shard(s, &ids[..m]).unwrap();
                 let after = generations(&svc);
                 // Only the split shard's (carried) cache was invalidated;
                 // the new shard starts with an empty cache.
@@ -607,7 +607,7 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
             let a = rng.gen_range(0..svc.n_shards());
             let b = (a + 1 + rng.gen_range(0..svc.n_shards() - 1)) % svc.n_shards();
             let (lo, hi) = (a.min(b), a.max(b));
-            let survivor = svc.merge_shards_opts(a, b, &BuildOptions::serial());
+            let survivor = svc.try_merge_shards(a, b).unwrap();
             assert_eq!(survivor, lo, "step {step}: survivor is min(a, b)");
             let after = generations(&svc);
             // Survivor bumped; every other shard's cache untouched
@@ -631,7 +631,7 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
                     *x += 1.0;
                 }
             }
-            svc.rebuild_shard_opts(
+            svc.try_rebuild_shard(
                 s,
                 &Repository::new(
                     ids.iter()
@@ -639,8 +639,8 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
                         .collect(),
                 ),
                 &ids,
-                &BuildOptions::serial(),
-            );
+            )
+            .unwrap();
             reference_engine = unsharded(&sets);
             let after = generations(&svc);
             for i in 0..before.len() {
@@ -711,24 +711,19 @@ fn churn_soak_stays_byte_identical_to_unsharded_reference() {
 }
 
 /// A sharded engine over a workload-crate repository mix, round-robin by
-/// global id, with the routing tiers switched explicitly — the build the
+/// global id, with routing switched explicitly — the build the
 /// selective-stream equivalence pins below share.
 fn sharded_from_spec(
     spec: &dds_workload::RepoSpec,
     k: usize,
     ptile: &PtileBuildParams,
     route: bool,
-    synopsis: bool,
 ) -> ShardedEngine {
     let mut svc = ShardedEngine::new(&[1], ptile.clone(), PrefBuildParams::exact_centralized())
         .with_routing(route)
-        .with_synopsis_routing(synopsis);
+        .with_build_options(BuildOptions::serial());
     for shard in spec.shards(k) {
-        svc.add_shard_opts(
-            &Repository::from_point_sets(shard.sets),
-            &shard.global_ids,
-            &BuildOptions::serial(),
-        );
+        svc.add_shard(&Repository::from_point_sets(shard.sets), &shard.global_ids);
     }
     svc
 }
@@ -738,8 +733,8 @@ proptest! {
 
     /// Selective streams (narrow interior rectangles, θ lower bound well
     /// above any sampling margin) are the traffic the synopsis tier was
-    /// built to prune — and the pruning must be invisible: full routing ≡
-    /// box-only ≡ unrouted, bit for bit, for exact **and** φ-anchored
+    /// built to prune — and the pruning must be invisible: routed ≡
+    /// unrouted, bit for bit, for exact **and** φ-anchored
     /// sampled builds, shards {2, 3, 8} × threads {1, 4}.
     #[test]
     fn selective_streams_prune_without_changing_answers(salt in 0u64..1000) {
@@ -752,36 +747,113 @@ proptest! {
         ];
         for (p, ptile) in params.iter().enumerate() {
             for k in [2usize, 3, 8] {
-                let full = sharded_from_spec(&spec, k, ptile, true, true);
-                let box_only = sharded_from_spec(&spec, k, ptile, true, false);
-                let unrouted = sharded_from_spec(&spec, k, ptile, false, false);
+                let full = sharded_from_spec(&spec, k, ptile, true);
+                let unrouted = sharded_from_spec(&spec, k, ptile, false);
                 let mut scratch = QueryScratch::new();
                 for (i, e) in exprs.iter().enumerate() {
                     let want = unrouted.query_with(e, &mut scratch);
                     prop_assert_eq!(
-                        full.query_with(e, &mut scratch), want.clone(),
+                        full.query_with(e, &mut scratch), want,
                         "full vs unrouted, params {}, shards {}, expr {}", p, k, i
-                    );
-                    prop_assert_eq!(
-                        box_only.query_with(e, &mut scratch), want,
-                        "box-only vs unrouted, params {}, shards {}, expr {}", p, k, i
                     );
                 }
                 for t in [1usize, 4] {
                     let opts = BuildOptions::with_threads(t);
                     let want = unrouted.query_batch_opts(&exprs, &opts);
                     prop_assert_eq!(
-                        full.query_batch_opts(&exprs, &opts), want.clone(),
+                        full.query_batch_opts(&exprs, &opts), want,
                         "full batch, params {}, shards {}, threads {}", p, k, t
-                    );
-                    prop_assert_eq!(
-                        box_only.query_batch_opts(&exprs, &opts), want,
-                        "box-only batch, params {}, shards {}, threads {}", p, k, t
                     );
                 }
                 prop_assert_eq!(unrouted.shards_routed_past(), 0);
                 prop_assert_eq!(unrouted.shards_routed_by_synopsis(), 0);
-                prop_assert_eq!(box_only.shards_routed_by_synopsis(), 0);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Zero-mass routing subsumes the raw-point bounding box: a rectangle
+    /// that misses a shard's raw-point box on some axis gets a synopsis
+    /// mass bound of exactly `0.0`, for exact and φ-anchored sampled
+    /// builds in one and two dimensions. Weight samples are raw points and
+    /// the synopsis puts every dataset's smallest and largest sample on
+    /// each axis's edge list, so its outermost edges lie inside the raw
+    /// box — this pins that edge-placement invariant.
+    #[test]
+    fn rectangles_missing_the_raw_box_have_zero_mass_bound(salt in 0u64..1000, dim in 1usize..3) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(salt);
+        let n = 6usize;
+        let sets: Vec<Vec<Vec<f64>>> = (0..n)
+            .map(|_| {
+                let centre: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50i32..50) as f64).collect();
+                (0..rng.gen_range(1usize..90))
+                    .map(|_| centre.iter().map(|c| c + rng.gen_range(-20i32..20) as f64).collect())
+                    .collect()
+            })
+            .collect();
+        let params = [
+            PtileBuildParams::exact_centralized(),
+            PtileBuildParams::default().with_eps(0.4).with_phi_datasets(n),
+        ];
+        for (p, ptile) in params.iter().enumerate() {
+            for k in [1usize, 2, 3] {
+                let mut svc = ShardedEngine::new(&[1], ptile.clone(), PrefBuildParams::exact_centralized());
+                let mut boxes = Vec::new();
+                for s in 0..k {
+                    let members: Vec<usize> = (s..n).step_by(k).collect();
+                    let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); dim];
+                    for p in members.iter().flat_map(|&i| &sets[i]) {
+                        for (b, &x) in bounds.iter_mut().zip(p) {
+                            *b = (b.0.min(x), b.1.max(x));
+                        }
+                    }
+                    boxes.push(bounds);
+                    svc.add_shard(
+                        &Repository::new(
+                            members
+                                .iter()
+                                .map(|&i| Dataset::from_rows(format!("d{i}"), sets[i].clone()))
+                                .collect(),
+                        ),
+                        &members.iter().map(|&i| i as GlobalId).collect::<Vec<_>>(),
+                    );
+                }
+                prop_assert!(p == 0 || svc.ptile_slack() > 0.0, "sampling must engage");
+                for (s, bounds) in boxes.iter().enumerate() {
+                    let syn = svc.shard_engine(s).routing_synopsis().unwrap();
+                    for h in 0..dim {
+                        let (min, max) = bounds[h];
+                        let mut misses = Vec::new();
+                        for hi in [min.next_down(), min - 1.0, min - 30.0] {
+                            misses.push((hi - rng.gen_range(0i32..40) as f64, hi));
+                        }
+                        for lo in [max.next_up(), max + 1.0, max + 30.0] {
+                            misses.push((lo, lo + rng.gen_range(0i32..40) as f64));
+                        }
+                        for miss in misses {
+                            let rect: Vec<(f64, f64)> = (0..dim)
+                                .map(|a| {
+                                    if a == h {
+                                        miss
+                                    } else {
+                                        let lo = rng.gen_range(-100i32..100) as f64;
+                                        (lo, lo + rng.gen_range(0i32..200) as f64)
+                                    }
+                                })
+                                .collect();
+                            prop_assert_eq!(
+                                syn.mass_bound(&rect),
+                                0.0,
+                                "rect {:?} misses shard {} box {:?} on axis {}", rect, s, bounds, h
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -790,7 +862,7 @@ proptest! {
 /// The synopsis tier really engages on selective traffic (the proptest
 /// above only proves it is answer-invisible): at a realistic round-robin
 /// flavour mix every shard's bounding box overlaps the narrow interior
-/// windows, so the box tier prunes nothing while the mass bound prunes
+/// windows, so zero-bound skips are rare while positive mass bounds prune
 /// most scatter units.
 #[test]
 fn selective_streams_engage_the_synopsis_tier() {
@@ -798,7 +870,7 @@ fn selective_streams_engage_the_synopsis_tier() {
     let spec = dds_workload::RepoSpec::mixed(n, 60, 1, 0xE18);
     let exprs = dds_workload::RequestStreamSpec::selective(18, 0xE18).exprs(&spec);
     let ptile = PtileBuildParams::exact_centralized();
-    let svc = sharded_from_spec(&spec, 8, &ptile, true, true);
+    let svc = sharded_from_spec(&spec, 8, &ptile, true);
     let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
     assert!(
         svc.shards_routed_by_synopsis() > 0,
