@@ -119,7 +119,9 @@ fn bench_pool(c: &mut Criterion) {
             b.iter(|| par_map(&opts, &items, unit))
         });
     }
-    // Spawn/merge overhead floor: trivial units, many threads.
+    // The solo path: trivial units finish inside the inline budget, so
+    // eight allowed threads still spawn none — this is the pool's per-item
+    // floor, not its spawn/merge cost.
     group.bench_function("overhead_trivial_units", |b| {
         let opts = BuildOptions::with_threads(8);
         b.iter(|| par_map(&opts, &items, |i, x| x + i as u64))

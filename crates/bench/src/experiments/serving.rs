@@ -13,8 +13,11 @@
 //! are metered too. The engine's answer path legitimately allocates (the
 //! query plan, per-shard hits, the gathered answer), so a query is gated
 //! by a ceiling rather than zero — measured on a second server with
-//! `query_threads: Some(1)`, whose count does not depend on the host's
-//! core count (the default server's worker pool grows with the cores).
+//! `query_threads: Some(1)`. The first server allows `query_threads:
+//! Some(4)`, so neither count depends on the host's core count, and its
+//! warm query is gated against the serial one: a request of mask-cache
+//! hits finishes long before a thread spawn would pay off, so the pool
+//! never fans it out and it allocates what the serial request does.
 
 use super::Scale;
 use crate::alloc::count_allocations;
@@ -35,9 +38,10 @@ use std::time::Duration;
 pub const QUERY_ALLOCS_CEILING: f64 = 34.0;
 
 /// E15 — served round trips over a warm session: ping is asserted
-/// allocation-free end to end and a single-thread query under
-/// [`QUERY_ALLOCS_CEILING`] (when the counting allocator is installed);
-/// default-pool query allocations are reported alongside.
+/// allocation-free end to end, a single-thread query under
+/// [`QUERY_ALLOCS_CEILING`], and a four-worker query within one
+/// allocation of the single-thread one (when the counting allocator is
+/// installed).
 pub fn e15_serving_allocations(scale: Scale) -> Table {
     let mut table = Table::new(
         "E15 — serving steady state (readiness loop + buffer pool + client scratch)",
@@ -65,7 +69,10 @@ pub fn e15_serving_allocations(scale: Scale) -> Table {
         let client = DdsClient::connect(server.local_addr()).expect("connect");
         (server, client)
     };
-    let (server, mut client) = serve(ServerConfig::default());
+    let (server, mut client) = serve(ServerConfig {
+        query_threads: Some(4),
+        ..ServerConfig::default()
+    });
     let (serial_server, mut serial_client) = serve(ServerConfig {
         query_threads: Some(1),
         ..ServerConfig::default()
@@ -122,7 +129,7 @@ pub fn e15_serving_allocations(scale: Scale) -> Table {
             "steady-state ping round trips must not allocate (got {total} over {measured})"
         );
     }
-    row("query", meter(&mut client, &query));
+    let pooled_allocs = row("query (query_threads = 4)", meter(&mut client, &query));
     let serial_allocs = row(
         "query (query_threads = 1)",
         meter(&mut serial_client, &query),
@@ -133,6 +140,18 @@ pub fn e15_serving_allocations(scale: Scale) -> Table {
             per_op <= QUERY_ALLOCS_CEILING,
             "warm served query allocations regressed: {per_op:.2} per round trip \
              > ceiling {QUERY_ALLOCS_CEILING}"
+        );
+    }
+    // A warm request's units are mask-cache hits, far cheaper than a
+    // spawn: four allowed workers must not cost more than one. The one
+    // allocation of slack covers a rare request that a preemption inside
+    // the pool's inline budget makes fan out.
+    if let (Some(pooled), Some(serial)) = (pooled_allocs, serial_allocs) {
+        let (pooled, serial) = (per_op(pooled), per_op(serial));
+        assert!(
+            pooled <= serial + 1.0,
+            "a warm served query fanned out: {pooled:.2} allocs per round trip at \
+             query_threads = 4 > {serial:.2} at query_threads = 1 (+ 1.0 slack)"
         );
     }
     serial_server.shutdown();

@@ -569,15 +569,17 @@ impl ShardedEngine {
         self
     }
 
-    /// Sets the worker pool every lifecycle build runs on (builder-style;
-    /// default [`BuildOptions::default`]). The thread count never changes
-    /// a built shard, only how fast it is built.
+    /// Sets the worker pool every lifecycle build and every batch query
+    /// ([`query_batch`](Self::query_batch), and the server's `execute`
+    /// calls) runs on (builder-style; default [`BuildOptions::default`]).
+    /// The thread count never changes a built shard or an answer, only
+    /// how fast it is produced.
     pub fn with_build_options(mut self, opts: BuildOptions) -> Self {
         self.build_opts = opts;
         self
     }
 
-    /// The worker pool lifecycle builds run on (see
+    /// The worker pool lifecycle builds and batch queries run on (see
     /// [`with_build_options`](Self::with_build_options)).
     pub fn build_options(&self) -> &BuildOptions {
         &self.build_opts
@@ -1029,16 +1031,16 @@ impl ShardedEngine {
         answers.pop().expect("one answer per plan")
     }
 
-    /// Answers a slice of expressions with the default worker pool,
-    /// **input-ordered** — `result[i]` answers `exprs[i]`, as ascending
-    /// global ids, bit-identical to [`query`](Self::query) on each
-    /// expression at every shard count × thread count (pinned by
-    /// `tests/shard_equivalence.rs`). Each expression is schema-checked
-    /// on its own: a wrong-dimension expression yields
-    /// `Err(DimensionMismatch)` *in its slot* while the rest of the batch
-    /// is still scattered and answered.
+    /// Answers a slice of expressions on the engine's worker pool
+    /// ([`build_options`](Self::build_options)), **input-ordered** —
+    /// `result[i]` answers `exprs[i]`, as ascending global ids,
+    /// bit-identical to [`query`](Self::query) on each expression at every
+    /// shard count × thread count (pinned by `tests/shard_equivalence.rs`).
+    /// Each expression is schema-checked on its own: a wrong-dimension
+    /// expression yields `Err(DimensionMismatch)` *in its slot* while the
+    /// rest of the batch is still scattered and answered.
     pub fn query_batch(&self, exprs: &[LogicalExpr]) -> Vec<Result<Vec<GlobalId>, EngineError>> {
-        self.query_batch_opts(exprs, &BuildOptions::default())
+        self.query_batch_opts(exprs, &self.build_opts)
     }
 
     /// [`query_batch`](Self::query_batch) with an explicit worker-pool

@@ -95,10 +95,13 @@ pub struct ServerConfig {
     /// the connections, so this bounds I/O parallelism, **not** the
     /// connection count — two threads serve thousands of idle sessions.
     pub io_threads: usize,
-    /// Worker threads each executed query fans out over
-    /// (`ShardedEngine::execute`) and each ingest or lifecycle build runs
-    /// on. [`DdsServer::serve`] applies it once to the engine's worker
-    /// pool (`ShardedEngine::with_build_options`); `None` keeps the
+    /// Worker threads each ingest or lifecycle build runs on, and the most
+    /// each executed query (`ShardedEngine::execute`) fans out over: a
+    /// query starts alone on its executor and fans out over *up to* this
+    /// many workers (the executor among them) only once its work outlasts
+    /// a thread spawn, so a warm request of mask-cache hits runs without
+    /// spawning. [`DdsServer::serve`] applies it once to the engine's
+    /// worker pool (`ShardedEngine::with_build_options`); `None` keeps the
     /// engine's pool (by default `DDS_THREADS` / all cores).
     pub query_threads: Option<usize>,
     /// Upper bound on a frame body, both directions.
