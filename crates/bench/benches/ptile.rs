@@ -91,6 +91,13 @@ fn bench_construction(c: &mut Criterion) {
     group.bench_function("range_n500", |b| {
         b.iter(|| PtileRangeIndex::build(&wl.synopses, params()))
     });
+    // The served shard shape: 30 datasets of 100–200 points in d = 2 at
+    // the default budget (10 grid coordinates per axis, 3,025 canonical
+    // rectangles per dataset). `range_n500` is 1-D.
+    let shard = clustered_workload(30, 200, 2, 0xC2);
+    group.bench_function("range_d2_shard", |b| {
+        b.iter(|| PtileRangeIndex::build(&shard.synopses, PtileBuildParams::exact_centralized()))
+    });
     group.finish();
 }
 

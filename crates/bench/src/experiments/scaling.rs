@@ -3,6 +3,7 @@
 
 use super::setup::{ball_workload, clustered_workload, mixed_workload, ptile_queries};
 use super::Scale;
+use crate::alloc::count_allocations;
 use crate::table::{fmt_bytes, fmt_duration, Table};
 use crate::timing::{median_duration, time};
 use dds_core::delay::DelayRecorder;
@@ -12,6 +13,16 @@ use dds_core::ptile::{
     DynamicPtileIndex, PtileBuildParams, PtileMultiIndex, PtileRangeIndex, PtileThresholdIndex,
 };
 use std::time::Duration;
+
+/// Ceiling on heap allocations per dataset of a serial range-index build
+/// (E8's `rng allocs/ds` column). The build allocates per dataset — the
+/// weight sample (one `Point` each), its sorted axes, the grid, one
+/// prefix-count table and the lifted rows — and per kd-tree, never per
+/// canonical rectangle: on E8's 1-D repositories (up to 300 points and 496
+/// rectangles per dataset) it measures ≈240, where a path that allocates a
+/// `Rect`, a one-step expansion and a lifted `Vec` per rectangle measured
+/// ≈4,400.
+const RANGE_BUILD_ALLOCS_PER_DATASET_CEILING: u64 = 500;
 
 fn bench_params() -> PtileBuildParams {
     // Budget 496 ⇒ 31 grid coordinates per dimension; with the decoupled
@@ -27,7 +38,10 @@ fn bench_params() -> PtileBuildParams {
 /// threads ∈ {2, 4, 8}. Parallel builds are bit-identical to serial ones,
 /// so the bytes columns double as a determinism check (they must not move
 /// across the thread sweep) and "speedup" is the serial total build time
-/// over this row's total.
+/// over this row's total. "rng allocs/ds" is the range build's measured
+/// heap allocations per dataset (counting allocator); serial rows ASSERT
+/// it stays under `RANGE_BUILD_ALLOCS_PER_DATASET_CEILING`, a
+/// host-independent gate against per-rectangle allocation.
 pub fn e8_construction_scaling(scale: Scale) -> Table {
     let mut table = Table::new(
         "E8 — space & preprocessing vs N and threads (Lemmas 4.3 / 4.10 / 5.3; worker-pool build)",
@@ -40,6 +54,7 @@ pub fn e8_construction_scaling(scale: Scale) -> Table {
             "multi build",
             "total",
             "speedup",
+            "rng allocs/ds",
             "thr lifted",
             "thr bytes",
             "rng bytes",
@@ -73,6 +88,8 @@ struct E8Row {
     t_pref: Duration,
     t_multi: Duration,
     total: Duration,
+    /// Heap allocations of the range build per dataset, when counted.
+    rng_allocs_per_dataset: Option<u64>,
     thr_lifted: usize,
     thr_bytes: usize,
     rng_bytes: usize,
@@ -90,6 +107,8 @@ impl E8Row {
             fmt_duration(self.t_multi),
             fmt_duration(self.total),
             format!("{speedup:.2}x"),
+            self.rng_allocs_per_dataset
+                .map_or_else(|| "n/a".to_string(), |a| a.to_string()),
             self.thr_lifted.to_string(),
             fmt_bytes(self.thr_bytes),
             fmt_bytes(self.rng_bytes),
@@ -101,7 +120,17 @@ impl E8Row {
 fn e8_build_row(n: usize, opts: &BuildOptions) -> E8Row {
     let wl = mixed_workload(n, 300, 1, 0xE8);
     let (thr, t_thr) = time(|| PtileThresholdIndex::build_opts(&wl.synopses, bench_params(), opts));
-    let (rng_idx, t_rng) = time(|| PtileRangeIndex::build_opts(&wl.synopses, bench_params(), opts));
+    let ((rng_idx, t_rng), rng_allocs) = count_allocations(|| {
+        time(|| PtileRangeIndex::build_opts(&wl.synopses, bench_params(), opts))
+    });
+    let rng_allocs_per_dataset = rng_allocs.map(|a| a / n as u64);
+    if let (1, Some(per_dataset)) = (opts.threads, rng_allocs_per_dataset) {
+        assert!(
+            per_dataset <= RANGE_BUILD_ALLOCS_PER_DATASET_CEILING,
+            "E8: serial range build allocates {per_dataset} times per dataset at N = {n} \
+             (ceiling {RANGE_BUILD_ALLOCS_PER_DATASET_CEILING})"
+        );
+    }
     let (_multi, t_multi) =
         time(|| PtileMultiIndex::build_opts(&wl.synopses, 2, bench_params(), opts));
     let ball = ball_workload(n, 200, 2, 0xE8 + 1);
@@ -121,6 +150,7 @@ fn e8_build_row(n: usize, opts: &BuildOptions) -> E8Row {
         t_pref,
         t_multi,
         total: t_thr + t_rng + t_pref + t_multi,
+        rng_allocs_per_dataset,
         thr_lifted: thr.lifted_points(),
         thr_bytes: thr.memory_bytes(),
         rng_bytes: rng_idx.memory_bytes(),

@@ -2,10 +2,15 @@
 //!
 //! For each dataset the builders draw an ε-sample from its synopsis
 //! (Algorithm 1 line 4 / Algorithm 3 line 4), build the coordinate grid of
-//! canonical rectangles and compute rectangle weights `|ρ ∩ S_i| / |S_i|`
-//! with a small orthogonal-counting structure (as in the paper's analysis,
-//! Appendix C.2, which uses "an additional static range tree on `S_i` for
-//! counting queries").
+//! canonical rectangles and weigh every rectangle by `|ρ ∩ S_i| / |S_i|`.
+//! The paper's analysis (Appendix C.2) answers those counts with "an
+//! additional static range tree on `S_i` for counting queries"; since
+//! every weighed rectangle is a grid rectangle, one pass of
+//! `CoordGrid::for_each_rect` answers them from a prefix-count table over
+//! the grid instead (`O(2^d)` lookups per rectangle, the same integer
+//! counts). [`DatasetCoreset::for_each_weighted_rect`] is the single weight
+//! path of all four Ptile builders; they lift its output into one
+//! row-major array per dataset, so nothing is allocated per rectangle.
 //!
 //! ### Decoupling weights from the grid
 //!
@@ -20,7 +25,7 @@
 //! budget:
 //!
 //! `ε_i = ε_i^samp + Σ_h 2·(max mass strictly between adjacent grid
-//! coordinates of dimension h)`.
+//! coordinates of dimension h, or beyond the outermost ones)`.
 //!
 //! For any query `R`, the maximal grid rectangle `ρ ⊆ R` misses at most the
 //! two boundary gaps per dimension, so `|w(ρ) − M_R(P_i)| ≤ ε_i`; all the
@@ -28,8 +33,7 @@
 //! exactly as in the paper (DESIGN.md §3).
 
 use super::PtileBuildParams;
-use dds_geom::{CoordGrid, Point, Rect};
-use dds_rangetree::{BuildableIndex, KdTree, OrthoIndex, Region};
+use dds_geom::{CoordGrid, GridRect, Point};
 use dds_synopsis::{eps_sample_size, sample_error_bound, PercentileSynopsis};
 use rand::rngs::StdRng;
 
@@ -59,8 +63,10 @@ pub(crate) fn max_coords_for_budget(budget: usize, dim: usize) -> usize {
 }
 
 /// Per-dimension quantile coordinates: `s` evenly spaced order statistics
-/// (always including min and max). Returns the selected coordinates and the
-/// maximum sample mass strictly between two adjacent selected coordinates.
+/// (min and max whenever `s ≥ 2`; the min alone at `s = 1`). Returns the
+/// selected coordinates and the maximum sample mass strictly between two
+/// adjacent selected coordinates, or strictly below the first / above the
+/// last (those tails are empty when min and max are kept).
 fn quantile_coords(sorted: &[f64], s: usize) -> (Vec<f64>, f64) {
     let m = sorted.len();
     debug_assert!(m >= 1);
@@ -76,8 +82,12 @@ fn quantile_coords(sorted: &[f64], s: usize) -> (Vec<f64>, f64) {
     }
     coords.dedup();
     // Measured max gap: the largest count of sample values strictly between
-    // adjacent selected coordinates.
-    let mut max_gap = 0usize;
+    // adjacent selected coordinates, or beyond the outermost ones.
+    let first = coords[0];
+    let last = coords[coords.len() - 1];
+    let below = sorted.partition_point(|x| *x < first);
+    let above = m - sorted.partition_point(|x| *x <= last);
+    let mut max_gap = below.max(above);
     for w in coords.windows(2) {
         let lo = sorted.partition_point(|x| *x <= w[0]);
         let hi = sorted.partition_point(|x| *x < w[1]);
@@ -124,38 +134,53 @@ pub(crate) fn build_coreset<S: PercentileSynopsis>(
     }
 }
 
-/// Weights `|ρ ∩ S_i| / |S_i|` for a batch of rectangles, via an
-/// orthogonal-counting structure over the sample.
-pub(crate) fn rect_weights(sample: &[Point], rects: &[Rect]) -> Vec<f64> {
-    debug_assert!(!sample.is_empty());
-    let dim = sample[0].dim();
-    let n = sample.len() as f64;
-    if dim == 1 {
-        // Fast path: two binary searches per interval.
-        let mut xs: Vec<f64> = sample.iter().map(|p| p[0]).collect();
-        xs.sort_unstable_by(|a, b| a.total_cmp(b));
-        return rects
-            .iter()
-            .map(|r| {
-                let lo = xs.partition_point(|x| *x < r.lo_at(0));
-                let hi = xs.partition_point(|x| *x <= r.hi_at(0));
-                (hi - lo) as f64 / n
-            })
-            .collect();
+impl DatasetCoreset {
+    /// One pass over the canonical rectangles of the grid in
+    /// `CoordGrid::enumerate_rects` order, each with its one-step expansion
+    /// and its weight `|ρ ∩ S_i| / |S_i|` — the lifting input of every
+    /// Ptile builder. Allocates nothing per rectangle.
+    pub fn for_each_weighted_rect(&self, mut f: impl FnMut(&GridRect<'_>, f64)) {
+        let n = self.sample.len() as f64;
+        self.grid
+            .for_each_rect(&self.sample, |r| f(r, r.count as f64 / n));
     }
-    let counter = KdTree::build(dim, sample.iter().map(|p| p.as_slice().to_vec()).collect());
-    rects
-        .iter()
-        .map(|r| {
-            let region = Region::closed(r.lo().to_vec(), r.hi().to_vec());
-            counter.count(&region) as f64 / n
-        })
-        .collect()
+
+    /// Number of canonical rectangles `|R_i|` of the grid.
+    pub fn rect_count(&self) -> usize {
+        usize::try_from(self.grid.rect_count()).expect("rectangle count fits usize")
+    }
+
+    /// The Algorithm-3 pairs `(ρ⁻, ρ̂⁻, ρ⁺, ρ̂⁺, w + c_i, w − c_i)` of every
+    /// canonical rectangle as one row-major array of `4d + 2`-wide rows.
+    pub fn pair_rows(&self, c_i: f64) -> Vec<f64> {
+        let width = 4 * self.grid.dim() + 2;
+        let mut rows = Vec::with_capacity(self.rect_count() * width);
+        self.for_each_weighted_rect(|r, w| {
+            rows.extend_from_slice(r.lo);
+            rows.extend_from_slice(r.hat_lo);
+            rows.extend_from_slice(r.hi);
+            rows.extend_from_slice(r.hat_hi);
+            rows.push(w + c_i);
+            rows.push(w - c_i);
+        });
+        rows
+    }
+
+    /// The empty-slab triples `(c_j, c_{j+1}, c_i)` of dimension `h` (see
+    /// `CoordGrid::empty_slabs`) as one row-major array of 3-wide rows.
+    pub fn slab_rows(&self, h: usize, c_i: f64) -> Vec<f64> {
+        self.grid
+            .empty_slabs(h)
+            .into_iter()
+            .flat_map(|(lo, hi)| [lo, hi, c_i])
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dds_geom::Rect;
     use dds_synopsis::ExactSynopsis;
     use rand::{Rng, SeedableRng};
 
@@ -250,12 +275,53 @@ mod tests {
             Point::two(2.0, 2.0),
             Point::two(3.0, 3.0),
             Point::two(2.0, 2.0), // duplicate (with-replacement sampling)
+            Point::two(2.5, 0.5), // between grid coordinates
         ];
-        let rects = vec![
-            Rect::from_bounds(&[0.0, 0.0], &[2.5, 2.5]),
-            Rect::from_bounds(&[3.0, 3.0], &[3.0, 3.0]),
-        ];
-        let w = rect_weights(&sample, &rects);
-        assert_eq!(w, vec![0.75, 0.25]);
+        let cs = DatasetCoreset {
+            grid: CoordGrid::from_coords(vec![vec![1.0, 2.0, 3.0], vec![1.0, 2.0, 3.0]]),
+            sample,
+            eps_i: 0.0,
+        };
+        let rects = cs.grid.enumerate_rects();
+        let mut seen = 0;
+        cs.for_each_weighted_rect(|r, w| {
+            let rect = &rects[seen];
+            assert_eq!((r.lo, r.hi), (rect.lo(), rect.hi()));
+            assert_eq!(w, rect.count_inside(&cs.sample) as f64 / 5.0, "{rect:?}");
+            seen += 1;
+        });
+        assert_eq!(seen, 36);
+        // Pair rows carry the same weights, budget-shifted.
+        let rows = cs.pair_rows(0.25);
+        assert_eq!(rows.len(), 36 * 10);
+        // First row: ρ = [1, 1]², ρ̂ = [−∞, 2]², one point of five inside.
+        let first = &rows[..10];
+        let inf = f64::INFINITY;
+        assert_eq!(first[..4], [1.0, 1.0, -inf, -inf]);
+        assert_eq!(first[4..8], [1.0, 1.0, 2.0, 2.0]);
+        assert_eq!(first[8..], [0.2 + 0.25, 0.2 - 0.25]);
+    }
+
+    #[test]
+    fn tiny_budget_counts_tail_mass() {
+        // Budget 1 keeps one coordinate per axis (the minimum); the mass
+        // above it must enter ε_i, or a query over that tail is a false
+        // negative. Points 1..=10, R = [2, 10] holds 0.9 of the mass.
+        use crate::ptile::{PtileRangeIndex, PtileThresholdIndex};
+        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quantile_coords(&xs, 1), (vec![1.0], 0.9));
+        let syn = vec![ExactSynopsis::new(
+            xs.iter().map(|&x| Point::one(x)).collect(),
+        )];
+        let params = PtileBuildParams::exact_centralized().with_rect_budget(1);
+        let r = Rect::interval(2.0, 10.0);
+        let range = PtileRangeIndex::build(&syn, params.clone());
+        let threshold = PtileThresholdIndex::build(&syn, params);
+        assert_eq!(range.eps(), 2.0 * 0.9);
+        for a in [0.8, 0.9] {
+            let theta = crate::framework::Interval::new(a, 1.0);
+            assert_eq!(range.query(&r, theta), vec![0]);
+            assert_eq!(threshold.query(&r, a), vec![0]);
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! zero-mass auxiliary structures. Datasets are identified by stable
 //! `u64` handles issued at insertion.
 
-use super::coreset::{build_coreset, rect_weights};
+use super::coreset::build_coreset;
 use super::PtileBuildParams;
 use crate::framework::Interval;
 use crate::pool::{mix_seed, par_map, BuildOptions};
@@ -171,26 +171,18 @@ impl DynamicPtileIndex {
         let cs = build_coreset(synopsis, params, budget_n, &mut rng);
         let eps_i = super::params::effective_eps(cs.eps_i, params.eps_override);
         let c_i = eps_i + params.delta;
-        let rects = cs.grid.enumerate_rects();
-        let weights = rect_weights(&cs.sample, &rects);
-        let mut batch: Vec<Vec<f64>> = Vec::with_capacity(rects.len());
-        for (rect, w) in rects.iter().zip(weights) {
-            let hat = cs.grid.one_step_expansion(rect);
-            let mut coords = Vec::with_capacity(4 * dim + 2);
-            coords.extend_from_slice(rect.lo());
-            coords.extend_from_slice(hat.lo());
-            coords.extend_from_slice(rect.hi());
-            coords.extend_from_slice(hat.hi());
-            coords.push(w + c_i);
-            coords.push(w - c_i);
-            batch.push(coords);
-        }
+        // `LogStructured` takes one `Vec` per point: split the rows here.
+        let width = 4 * dim + 2;
+        let batch = cs
+            .pair_rows(c_i)
+            .chunks(width)
+            .map(<[f64]>::to_vec)
+            .collect();
         let slabs = (0..dim)
             .map(|h| {
-                cs.grid
-                    .empty_slabs(h)
-                    .into_iter()
-                    .map(|(lo, hi)| vec![lo, hi, c_i])
+                cs.slab_rows(h, c_i)
+                    .chunks(3)
+                    .map(<[f64]>::to_vec)
                     .collect()
             })
             .collect();

@@ -14,7 +14,7 @@
 //! same per-predicate bands — the lifted structure cannot represent the
 //! "no rectangle inside R" corner case across slots).
 
-use super::coreset::{build_coreset, rect_weights};
+use super::coreset::build_coreset;
 use super::{PtileBuildParams, PtileRangeIndex};
 use crate::bitset::BitSet;
 use crate::framework::{Interval, LogicalExpr, MeasureFunction, Predicate};
@@ -28,7 +28,8 @@ use rand::SeedableRng;
 
 /// Per-dataset build output: the lifted `m`-tuples and the achieved budget.
 struct TuplePart {
-    lifted: Vec<Vec<f64>>,
+    /// Row-major lifted tuples, `4md + 2m` coordinates each.
+    lifted: Vec<f64>,
     eps_i: f64,
     c_i: f64,
 }
@@ -164,42 +165,28 @@ impl PtileMultiIndex {
         let cs = build_coreset(syn, inner, n, &mut rng);
         let eps_i = super::params::effective_eps(cs.eps_i, params.eps_override);
         let c_i = eps_i + params.delta;
-        let rects = cs.grid.enumerate_rects();
-        let weights = rect_weights(&cs.sample, &rects);
-        // Per-slot building block: (ρ⁻, ρ̂⁻, ρ⁺, ρ̂⁺).
-        let blocks: Vec<(Vec<f64>, f64)> = rects
-            .iter()
-            .zip(&weights)
-            .map(|(rect, &w)| {
-                let hat = cs.grid.one_step_expansion(rect);
-                let mut b = Vec::with_capacity(4 * dim);
-                b.extend_from_slice(rect.lo());
-                b.extend_from_slice(hat.lo());
-                b.extend_from_slice(rect.hi());
-                b.extend_from_slice(hat.hi());
-                (b, w)
-            })
-            .collect();
+        // Per-slot building block: the pair row (ρ⁻, ρ̂⁻, ρ⁺, ρ̂⁺, w⁺, w⁻).
+        let pairs = cs.pair_rows(c_i);
+        let block = 4 * dim;
+        let n_pairs = pairs.len() / (block + 2);
+        let pair = |s: usize| &pairs[s * (block + 2)..(s + 1) * (block + 2)];
         // Odometer over m slots.
-        let mut lifted = Vec::with_capacity(blocks.len().pow(m as u32));
+        let mut lifted = Vec::with_capacity(n_pairs.pow(m as u32) * m * (block + 2));
         let mut idx = vec![0usize; m];
         loop {
-            let mut coords = Vec::with_capacity(4 * m * dim + 2 * m);
             for &s in &idx {
-                coords.extend_from_slice(&blocks[s].0);
+                lifted.extend_from_slice(&pair(s)[..block]);
             }
             for &s in &idx {
-                coords.push(blocks[s].1 + c_i);
-                coords.push(blocks[s].1 - c_i);
+                lifted.extend_from_slice(&pair(s)[block..]);
             }
-            lifted.push(coords);
             let mut slot = 0;
             loop {
                 if slot == m {
                     break;
                 }
                 idx[slot] += 1;
-                if idx[slot] < blocks.len() {
+                if idx[slot] < n_pairs {
                     break;
                 }
                 idx[slot] = 0;
@@ -222,17 +209,18 @@ impl PtileMultiIndex {
         threads: usize,
     ) -> Self {
         let n = parts.len();
-        let mut lifted: Vec<Vec<f64>> = Vec::new();
+        let width = 4 * m * dim + 2 * m;
+        let mut lifted: Vec<f64> = Vec::new();
         let mut owner: Vec<u32> = Vec::new();
         let mut eps_max: f64 = 0.0;
         let mut max_combined: f64 = 0.0;
         for (i, mut part) in parts.into_iter().enumerate() {
             eps_max = eps_max.max(part.eps_i);
             max_combined = max_combined.max(part.c_i);
-            owner.extend(std::iter::repeat_n(i as u32, part.lifted.len()));
+            owner.extend(std::iter::repeat_n(i as u32, part.lifted.len() / width));
             lifted.append(&mut part.lifted);
         }
-        let tree = KdTree::build_par(4 * m * dim + 2 * m, lifted, threads);
+        let tree = KdTree::build_par(width, &lifted, threads);
         PtileMultiIndex {
             dim,
             m,

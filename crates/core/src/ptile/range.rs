@@ -31,7 +31,7 @@
 //!   it has no canonical rectangle inside `R`, so main and auxiliary
 //!   answers never overlap.
 
-use super::coreset::{build_coreset, rect_weights};
+use super::coreset::build_coreset;
 use super::routing::{sorted_sample_axes, RoutingSynopsis};
 use super::PtileBuildParams;
 use crate::framework::Interval;
@@ -48,9 +48,11 @@ use rand::SeedableRng;
 /// dataset (own RNG stream), so datasets can build on worker threads in any
 /// order and merge back deterministically.
 struct RangePart {
-    lifted: Vec<Vec<f64>>,
-    /// `slabs[h]` = `(lo, hi, ε_i + δ_i)` triples for dimension `h`.
-    slabs: Vec<Vec<Vec<f64>>>,
+    /// Row-major lifted pairs, `4d + 2` coordinates each.
+    lifted: Vec<f64>,
+    /// `slabs[h]` = row-major `(lo, hi, ε_i + δ_i)` triples for dimension
+    /// `h`.
+    slabs: Vec<Vec<f64>>,
     eps_i: f64,
     delta_i: f64,
     /// Per-axis sorted weight-sample coordinates, feeding the build-wide
@@ -186,26 +188,8 @@ impl PtileRangeIndex {
         let eps_i = super::params::effective_eps(cs.eps_i, params.eps_override);
         let delta_i = deltas.map_or(params.delta, |d| d[i]);
         let c_i = eps_i + delta_i;
-        let rects = cs.grid.enumerate_rects();
-        let weights = rect_weights(&cs.sample, &rects);
-        let mut lifted = Vec::with_capacity(rects.len());
-        for (rect, w) in rects.iter().zip(weights) {
-            let hat = cs.grid.one_step_expansion(rect);
-            let mut coords = Vec::with_capacity(4 * dim + 2);
-            coords.extend_from_slice(rect.lo());
-            coords.extend_from_slice(hat.lo());
-            coords.extend_from_slice(rect.hi());
-            coords.extend_from_slice(hat.hi());
-            coords.push(w + c_i);
-            coords.push(w - c_i);
-            lifted.push(coords);
-        }
-        let mut slabs = vec![Vec::new(); dim];
-        for (h, slabs_h) in slabs.iter_mut().enumerate() {
-            for (lo, hi) in cs.grid.empty_slabs(h) {
-                slabs_h.push(vec![lo, hi, c_i]);
-            }
-        }
+        let lifted = cs.pair_rows(c_i);
+        let slabs = (0..dim).map(|h| cs.slab_rows(h, c_i)).collect();
         let axes = sorted_sample_axes(dim, &cs.sample);
         RangePart {
             lifted,
@@ -221,10 +205,11 @@ impl PtileRangeIndex {
     /// exactly regardless of which worker produced which part.
     fn from_parts(dim: usize, parts: Vec<RangePart>, threads: usize) -> Self {
         let n = parts.len();
-        let mut lifted: Vec<Vec<f64>> = Vec::new();
+        let width = 4 * dim + 2;
+        let mut lifted: Vec<f64> = Vec::new();
         let mut owner: Vec<u32> = Vec::new();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut aux_points: Vec<Vec<Vec<f64>>> = vec![Vec::new(); dim];
+        let mut aux_points: Vec<Vec<f64>> = vec![Vec::new(); dim];
         let mut aux_owner: Vec<Vec<u32>> = vec![Vec::new(); dim];
         let mut combined: Vec<f64> = Vec::with_capacity(n);
         let mut eps_max: f64 = 0.0;
@@ -235,18 +220,19 @@ impl PtileRangeIndex {
             eps_max = eps_max.max(part.eps_i);
             delta_max = delta_max.max(part.delta_i);
             combined.push(part.eps_i + part.delta_i);
-            groups[i].extend(lifted.len()..lifted.len() + part.lifted.len());
-            owner.extend(std::iter::repeat_n(i as u32, part.lifted.len()));
+            let rows = part.lifted.len() / width;
+            groups[i].extend(owner.len()..owner.len() + rows);
+            owner.extend(std::iter::repeat_n(i as u32, rows));
             lifted.append(&mut part.lifted);
             for (h, mut slabs_h) in part.slabs.drain(..).enumerate() {
-                aux_owner[h].extend(std::iter::repeat_n(i as u32, slabs_h.len()));
+                aux_owner[h].extend(std::iter::repeat_n(i as u32, slabs_h.len() / 3));
                 aux_points[h].append(&mut slabs_h);
             }
         }
-        let tree = KdTree::build_par(4 * dim + 2, lifted, threads);
+        let tree = KdTree::build_par(width, &lifted, threads);
         let aux = aux_points
-            .into_iter()
-            .map(|pts| KdTree::build_par(3, pts, threads))
+            .iter()
+            .map(|rows| KdTree::build_par(3, rows, threads))
             .collect();
         let max_combined = combined.iter().fold(0.0f64, |a, &b| a.max(b));
         let routing = RoutingSynopsis::from_sorted_samples(dim, &sample_axes);

@@ -21,7 +21,7 @@
 //! refinement R3 / ablation A3); the eager Algorithm-2 deletion loop is
 //! kept as [`PtileThresholdIndex::query_eager`].
 
-use super::coreset::{build_coreset, rect_weights};
+use super::coreset::build_coreset;
 use super::PtileBuildParams;
 use crate::bitset::BitSet;
 use crate::pool::{par_map, BuildOptions};
@@ -35,7 +35,8 @@ use rand::SeedableRng;
 /// Per-dataset build output of Algorithm 1 (see `RangePart` in `range.rs`
 /// for the merging discipline).
 struct ThresholdPart {
-    lifted: Vec<Vec<f64>>,
+    /// Row-major lifted rectangles, `2d + 1` coordinates each.
+    lifted: Vec<f64>,
     eps_i: f64,
     delta_i: f64,
 }
@@ -143,16 +144,12 @@ impl PtileThresholdIndex {
         let cs = build_coreset(syn, params, n, &mut rng);
         let eps_i = super::params::effective_eps(cs.eps_i, params.eps_override);
         let delta_i = deltas.map_or(params.delta, |d| d[i]);
-        let rects = cs.grid.enumerate_rects();
-        let weights = rect_weights(&cs.sample, &rects);
-        let mut lifted = Vec::with_capacity(rects.len());
-        for (rect, w) in rects.iter().zip(weights) {
-            let mut coords = Vec::with_capacity(2 * dim + 1);
-            coords.extend_from_slice(rect.lo());
-            coords.extend_from_slice(rect.hi());
-            coords.push(w + eps_i + delta_i);
-            lifted.push(coords);
-        }
+        let mut lifted = Vec::with_capacity(cs.rect_count() * (2 * dim + 1));
+        cs.for_each_weighted_rect(|r, w| {
+            lifted.extend_from_slice(r.lo);
+            lifted.extend_from_slice(r.hi);
+            lifted.push(w + eps_i + delta_i);
+        });
         ThresholdPart {
             lifted,
             eps_i,
@@ -163,7 +160,8 @@ impl PtileThresholdIndex {
     /// Deterministic dataset-order merge (see `RangePart`).
     fn from_parts(dim: usize, parts: Vec<ThresholdPart>, threads: usize) -> Self {
         let n = parts.len();
-        let mut lifted: Vec<Vec<f64>> = Vec::new();
+        let width = 2 * dim + 1;
+        let mut lifted: Vec<f64> = Vec::new();
         let mut owner: Vec<u32> = Vec::new();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut combined: Vec<f64> = Vec::with_capacity(n);
@@ -173,11 +171,12 @@ impl PtileThresholdIndex {
             eps_max = eps_max.max(part.eps_i);
             delta_max = delta_max.max(part.delta_i);
             combined.push(part.eps_i + part.delta_i);
-            groups[i].extend(lifted.len()..lifted.len() + part.lifted.len());
-            owner.extend(std::iter::repeat_n(i as u32, part.lifted.len()));
+            let rows = part.lifted.len() / width;
+            groups[i].extend(owner.len()..owner.len() + rows);
+            owner.extend(std::iter::repeat_n(i as u32, rows));
             lifted.append(&mut part.lifted);
         }
-        let tree = KdTree::build_par(2 * dim + 1, lifted, threads);
+        let tree = KdTree::build_par(width, &lifted, threads);
         let degenerate = SortedScores::build(&combined);
         PtileThresholdIndex {
             dim,

@@ -9,7 +9,9 @@
 //! pairs `(lo, hi)` with `lo ≤ hi` drawn from the per-dimension coordinate
 //! sets. [`CoordGrid`] owns those coordinate sets and provides:
 //!
-//! * enumeration of the canonical rectangles (`R_i`),
+//! * enumeration of the canonical rectangles (`R_i`), and a single
+//!   allocation-free pass that yields each with its one-step expansion and
+//!   its exact sample count ([`CoordGrid::for_each_rect`]),
 //! * the *maximal* grid rectangle inside a query rectangle (Lemma 4.5),
 //! * the *one-step expansion* `ρ̂` of a grid rectangle — the rectangle
 //!   `ρ̂_R` built in Lemma 4.6 by pushing every facet outward to the next
@@ -20,6 +22,23 @@
 //!   closed form instead of scanning `R_i`.
 
 use crate::{Point, Rect};
+
+/// One canonical rectangle `ρ` of a [`CoordGrid::for_each_rect`] pass:
+/// its bounds, the bounds of its one-step expansion `ρ̂` and its sample
+/// count. The slices are only valid for the duration of the callback.
+#[derive(Debug)]
+pub struct GridRect<'a> {
+    /// `ρ⁻`.
+    pub lo: &'a [f64],
+    /// `ρ⁺`.
+    pub hi: &'a [f64],
+    /// `ρ̂⁻`: the next coordinate below `ρ⁻` per dimension, or `-∞`.
+    pub hat_lo: &'a [f64],
+    /// `ρ̂⁺`: the next coordinate above `ρ⁺` per dimension, or `+∞`.
+    pub hat_hi: &'a [f64],
+    /// `|ρ ∩ S|` for the pass's sample `S` (closed bounds).
+    pub count: u32,
+}
 
 /// Sorted, de-duplicated per-dimension coordinate sets with ±∞ guards.
 #[derive(Clone, Debug)]
@@ -204,6 +223,115 @@ impl CoordGrid {
             break;
         }
         out
+    }
+
+    /// One pass over the canonical rectangles of [`enumerate_rects`]
+    /// (same order), each handed to `f` with its
+    /// [`one_step_expansion`] and its exact count `|ρ ∩ sample|` (the
+    /// numerator of Algorithm 3's weight). No allocation per rectangle:
+    /// bounds live in buffers reused across calls of `f`.
+    ///
+    /// Counts come from a `d`-dimensional inclusive prefix-count table
+    /// over `2m_h + 1` slots per axis — slot `2j + 1` holds the sample
+    /// values equal to coordinate `j`, slot `2j` those strictly between
+    /// coordinates `j − 1` and `j` (below the first / above the last at
+    /// the ends) — so the closed rectangle `[c_a, c_b]` covers slots
+    /// `2a + 1 ..= 2b + 1` and its count is a `2^d`-term
+    /// inclusion–exclusion. This replaces the paper's static counting
+    /// range tree (Appendix C.2): grid rectangles only ever need grid
+    /// counts.
+    ///
+    /// [`enumerate_rects`]: Self::enumerate_rects
+    /// [`one_step_expansion`]: Self::one_step_expansion
+    ///
+    /// # Panics
+    /// Panics if a sample point has the wrong dimension or the sample has
+    /// `u32::MAX` points or more.
+    pub fn for_each_rect(&self, sample: &[Point], mut f: impl FnMut(&GridRect<'_>)) {
+        let d = self.dim();
+        assert!(sample.len() < u32::MAX as usize, "sample too large");
+        // Table strides: dimension 0 varies fastest.
+        let mut stride = Vec::with_capacity(d + 1);
+        stride.push(1usize);
+        for c in &self.coords {
+            stride.push(stride[stride.len() - 1] * (2 * c.len() + 1));
+        }
+        let mut table = vec![0u32; stride[d]];
+        for p in sample {
+            assert_eq!(p.dim(), d, "sample point dimension mismatch");
+            let mut at = 0;
+            for (h, c) in self.coords.iter().enumerate() {
+                let k = c.partition_point(|v| *v < p[h]);
+                let slot = if k < c.len() && c[k] == p[h] {
+                    2 * k + 1
+                } else {
+                    2 * k
+                };
+                at += slot * stride[h];
+            }
+            table[at] += 1;
+        }
+        // Inclusive prefix sums, one axis at a time.
+        for h in 0..d {
+            for at in 0..table.len() {
+                if (at / stride[h]) % (2 * self.coords[h].len() + 1) > 0 {
+                    table[at] += table[at - stride[h]];
+                }
+            }
+        }
+        // Odometer over per-dimension pairs (a, b), a ≤ b: b inner, a
+        // outer, dimension 0 fastest — the order of `enumerate_rects`.
+        let mut pair = vec![(0usize, 0usize); d];
+        let mut bufs = vec![0.0; 4 * d];
+        'outer: loop {
+            let (lo, rest) = bufs.split_at_mut(d);
+            let (hi, rest) = rest.split_at_mut(d);
+            let (hat_lo, hat_hi) = rest.split_at_mut(d);
+            for (h, c) in self.coords.iter().enumerate() {
+                let (a, b) = pair[h];
+                lo[h] = c[a];
+                hi[h] = c[b];
+                hat_lo[h] = if a > 0 { c[a - 1] } else { f64::NEG_INFINITY };
+                hat_hi[h] = c.get(b + 1).copied().unwrap_or(f64::INFINITY);
+            }
+            // Corner `mask` takes slot 2a (just below the rectangle) on
+            // the axes whose bit is set and slot 2b + 1 elsewhere.
+            let mut count = 0i64;
+            for mask in 0..1usize << d {
+                let mut at = 0;
+                for (h, &(a, b)) in pair.iter().enumerate() {
+                    let slot = if mask >> h & 1 == 1 { 2 * a } else { 2 * b + 1 };
+                    at += slot * stride[h];
+                }
+                let term = i64::from(table[at]);
+                if mask.count_ones() % 2 == 0 {
+                    count += term;
+                } else {
+                    count -= term;
+                }
+            }
+            f(&GridRect {
+                lo,
+                hi,
+                hat_lo,
+                hat_hi,
+                count: count as u32,
+            });
+            // Odometer increment.
+            for (h, c) in self.coords.iter().enumerate() {
+                let (a, b) = &mut pair[h];
+                *b += 1;
+                if *b == c.len() {
+                    *a += 1;
+                    *b = *a;
+                }
+                if *a < c.len() {
+                    continue 'outer;
+                }
+                pair[h] = (0, 0);
+            }
+            return;
+        }
     }
 
     /// The maximal canonical rectangle `ρ ⊆ R`, i.e. the unique grid
@@ -451,6 +579,43 @@ mod tests {
                 g.is_canonical_pair(&rho, &hat),
                 "one-step expansion not canonical for {rho:?} -> {hat:?}"
             );
+        }
+    }
+
+    /// Collects a counted pass as `(ρ, ρ̂, count)` triples.
+    fn counted_pass(grid: &CoordGrid, sample: &[Point]) -> Vec<(Rect, Rect, u32)> {
+        let mut out = Vec::new();
+        grid.for_each_rect(sample, |r| {
+            out.push((
+                Rect::from_bounds(r.lo, r.hi),
+                Rect::from_bounds(r.hat_lo, r.hat_hi),
+                r.count,
+            ));
+        });
+        out
+    }
+
+    #[test]
+    fn counted_pass_matches_enumeration_and_direct_counts() {
+        // Coarser grid than the sample: points fall on, between, below and
+        // above the coordinates, with duplicates.
+        let grid = CoordGrid::from_coords(vec![vec![1.0, 3.0, 5.0], vec![0.0, 2.0]]);
+        let sample = vec![
+            Point::two(1.0, 0.0),
+            Point::two(2.0, 1.0),
+            Point::two(2.0, 1.0),
+            Point::two(3.0, 2.0),
+            Point::two(0.5, 2.0),
+            Point::two(6.0, -1.0),
+            Point::two(5.0, 3.0),
+        ];
+        let pass = counted_pass(&grid, &sample);
+        let rects = grid.enumerate_rects();
+        assert_eq!(pass.len(), rects.len());
+        for ((rho, hat, count), want) in pass.iter().zip(&rects) {
+            assert_eq!(rho, want);
+            assert_eq!(hat, &grid.one_step_expansion(want));
+            assert_eq!(*count as usize, want.count_inside(&sample), "{want:?}");
         }
     }
 

@@ -9,7 +9,8 @@
 //!   range-predicate structure (Section 4.3).
 //! * [`CoordGrid`] — the per-dimension coordinate sets induced by a sample,
 //!   with predecessor/successor lookups, enumeration of all combinatorially
-//!   different rectangles, maximal-rectangle queries and one-step expansions.
+//!   different rectangles (also as one counted pass, [`GridRect`]),
+//!   maximal-rectangle queries and one-step expansions.
 //! * [`EpsNet`] — a centrally symmetric ε-net of unit vectors on `S^{d-1}`
 //!   (Section 2, used by the Pref structures of Section 5).
 //!
@@ -25,7 +26,7 @@ mod point;
 mod rect;
 
 pub use epsnet::EpsNet;
-pub use grid::CoordGrid;
+pub use grid::{CoordGrid, GridRect};
 pub use point::Point;
 pub use rect::Rect;
 

@@ -3,12 +3,17 @@
 //! This is the default backend behind the paper's `DRangeTreeConstruct` /
 //! `Report` / `ReportFirst` interface (Section 2). Points live in a
 //! reordered contiguous array; every node covers a contiguous range and
-//! stores its bounding box plus the number of *alive* points below it, so
-//! `ReportFirst` can skip exhausted subtrees in `O(1)` and deletions are
-//! `O(depth)` count updates along the leaf-to-root path. The query loops of
-//! Algorithms 2 and 4 use the single-pass `report_while` traversal (each
-//! node visited once per query); the tombstone machinery serves the eager
-//! Algorithm-2 variant, the dynamic wrapper and the ablations.
+//! stores the number of *alive* points below it, so `ReportFirst` can skip
+//! exhausted subtrees in `O(1)` and deletions are `O(depth)` count updates
+//! along the leaf-to-root path. Node bounding boxes live in one flat
+//! `bounds` arena beside the node array (`2 · dim` coordinates per node),
+//! so a build allocates per tree, not per node, and a traversal reads
+//! boxes from one contiguous buffer. The build takes row-major rows
+//! ([`KdTree::build_par`]); [`BuildableIndex::build`] flattens its nested
+//! rows into the same path. The query loops of Algorithms 2 and 4 use the
+//! single-pass `report_while` traversal (each node visited once per
+//! query); the tombstone machinery serves the eager Algorithm-2 variant,
+//! the dynamic wrapper and the ablations.
 
 use crate::{BuildableIndex, DeletableIndex, OrthoIndex, Region};
 
@@ -18,10 +23,8 @@ const NONE: u32 = u32::MAX;
 /// thousand points the spawn/join cost exceeds the partitioning work.
 const PAR_BUILD_THRESHOLD: usize = 4096;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Node {
-    lo: Box<[f64]>,
-    hi: Box<[f64]>,
     start: u32,
     end: u32,
     left: u32,
@@ -34,6 +37,54 @@ impl Node {
     #[inline]
     fn is_leaf(&self) -> bool {
         self.left == NONE
+    }
+}
+
+/// The build's output: nodes in DFS preorder and their bounding boxes,
+/// `2 * dim` coordinates per node in node order (lower corner first).
+struct Arena {
+    nodes: Vec<Node>,
+    bounds: Vec<f64>,
+}
+
+impl Arena {
+    /// An empty arena with room for the whole tree over `n` points, so
+    /// neither array regrows during the build.
+    fn for_points(n: usize, dim: usize) -> Self {
+        // Median splits down to `LEAF_SIZE`, exactly as `build_rec`.
+        fn node_count(n: usize) -> usize {
+            if n <= LEAF_SIZE {
+                1
+            } else {
+                1 + node_count(n / 2) + node_count(n - n / 2)
+            }
+        }
+        let nodes = node_count(n);
+        Arena {
+            nodes: Vec::with_capacity(nodes),
+            bounds: Vec::with_capacity(nodes * 2 * dim),
+        }
+    }
+
+    /// Appends a subtree arena (indices local, root at 0 with parent
+    /// `NONE`), rebasing node links and attaching the root to `parent`.
+    /// Returns the root's absolute index.
+    fn splice(&mut self, subtree: Arena, parent: u32) -> u32 {
+        let base = self.nodes.len() as u32;
+        self.bounds.extend_from_slice(&subtree.bounds);
+        self.nodes.extend(subtree.nodes.into_iter().map(|mut node| {
+            node.parent = if node.parent == NONE {
+                parent
+            } else {
+                node.parent + base
+            };
+            if node.left != NONE {
+                node.left += base;
+                node.right += base;
+            }
+            node
+        }));
+        base
     }
 }
 
@@ -52,6 +103,9 @@ pub struct KdTree {
     /// Leaf node index per position.
     leaf_of_pos: Vec<u32>,
     nodes: Vec<Node>,
+    /// Node bounding boxes, `2 * dim` per node in node order: the lower
+    /// corner of node `ni` at `ni * 2 * dim`, its upper corner right after.
+    bounds: Vec<f64>,
     n_alive: usize,
 }
 
@@ -61,9 +115,18 @@ impl KdTree {
         &self.coords[pos * self.dim..(pos + 1) * self.dim]
     }
 
+    /// Lower and upper corner of node `ni`'s bounding box.
+    #[inline]
+    fn bbox(&self, ni: u32) -> (&[f64], &[f64]) {
+        let d = self.dim;
+        self.bounds[ni as usize * 2 * d..(ni as usize + 1) * 2 * d].split_at(d)
+    }
+
+    /// Builds the subtree over `perm` (indexes of rows of the row-major
+    /// `points`) into `arena` in DFS preorder and returns its root's index.
     fn build_rec(
-        nodes: &mut Vec<Node>,
-        points: &[Vec<f64>],
+        arena: &mut Arena,
+        points: &[f64],
         perm: &mut [u32],
         offset: usize,
         parent: u32,
@@ -71,21 +134,23 @@ impl KdTree {
         threads: usize,
     ) -> u32 {
         debug_assert!(!perm.is_empty());
-        // Bounding box of the subtree.
-        let mut lo = vec![f64::INFINITY; dim];
-        let mut hi = vec![f64::NEG_INFINITY; dim];
+        // Bounding box of the subtree, written straight into the arena.
+        let at = arena.bounds.len();
+        arena.bounds.extend(std::iter::repeat_n(f64::INFINITY, dim));
+        arena
+            .bounds
+            .extend(std::iter::repeat_n(f64::NEG_INFINITY, dim));
+        let (lo, hi) = arena.bounds[at..].split_at_mut(dim);
         for &i in perm.iter() {
-            let p = &points[i as usize];
+            let p = &points[i as usize * dim..(i as usize + 1) * dim];
             for h in 0..dim {
                 lo[h] = lo[h].min(p[h]);
                 hi[h] = hi[h].max(p[h]);
             }
         }
-        let ni = nodes.len() as u32;
+        let ni = arena.nodes.len() as u32;
         let n_points = perm.len();
-        nodes.push(Node {
-            lo: lo.clone().into_boxed_slice(),
-            hi: hi.clone().into_boxed_slice(),
+        arena.nodes.push(Node {
             start: offset as u32,
             end: (offset + n_points) as u32,
             left: NONE,
@@ -103,66 +168,45 @@ impl KdTree {
             .expect("dim >= 1");
         let mid = n_points / 2;
         perm.select_nth_unstable_by(mid, |&a, &b| {
-            points[a as usize][axis].total_cmp(&points[b as usize][axis])
+            points[a as usize * dim + axis].total_cmp(&points[b as usize * dim + axis])
         });
         let (left_perm, right_perm) = perm.split_at_mut(mid);
-        if threads >= 2 && n_points >= PAR_BUILD_THRESHOLD {
+        let (l, r) = if threads >= 2 && n_points >= PAR_BUILD_THRESHOLD {
             // Build the left subtree on a scoped worker and the right on the
             // current thread, splitting the thread budget. Each subtree is
-            // built into a fresh node arena with local indices and spliced
-            // back in serial DFS-preorder position, so the resulting node
-            // array is bit-identical to the single-threaded build.
+            // built into a fresh arena with local indices and spliced back
+            // in serial DFS-preorder position, so the node and bounds arrays
+            // are bit-identical to the single-threaded build.
             let lt = threads / 2;
             let rt = threads - lt;
-            let (left_nodes, right_nodes) = std::thread::scope(|s| {
+            let (left, right) = std::thread::scope(|s| {
                 let handle = s.spawn(move || {
-                    let mut ln = Vec::new();
-                    Self::build_rec(&mut ln, points, left_perm, offset, NONE, dim, lt);
-                    ln
+                    let mut la = Arena::for_points(left_perm.len(), dim);
+                    Self::build_rec(&mut la, points, left_perm, offset, NONE, dim, lt);
+                    la
                 });
-                let mut rn = Vec::new();
-                Self::build_rec(&mut rn, points, right_perm, offset + mid, NONE, dim, rt);
-                (handle.join().expect("kd-tree build worker panicked"), rn)
+                let mut ra = Arena::for_points(right_perm.len(), dim);
+                Self::build_rec(&mut ra, points, right_perm, offset + mid, NONE, dim, rt);
+                (handle.join().expect("kd-tree build worker panicked"), ra)
             });
-            let l = Self::splice_subtree(nodes, left_nodes, ni);
-            let r = Self::splice_subtree(nodes, right_nodes, ni);
-            nodes[ni as usize].left = l;
-            nodes[ni as usize].right = r;
-            return ni;
-        }
-        let l = Self::build_rec(nodes, points, left_perm, offset, ni, dim, threads);
-        let r = Self::build_rec(nodes, points, right_perm, offset + mid, ni, dim, threads);
-        nodes[ni as usize].left = l;
-        nodes[ni as usize].right = r;
+            (arena.splice(left, ni), arena.splice(right, ni))
+        } else {
+            let l = Self::build_rec(arena, points, left_perm, offset, ni, dim, threads);
+            let r = Self::build_rec(arena, points, right_perm, offset + mid, ni, dim, threads);
+            (l, r)
+        };
+        arena.nodes[ni as usize].left = l;
+        arena.nodes[ni as usize].right = r;
         ni
-    }
-
-    /// Appends a subtree arena (indices local, root at 0 with parent
-    /// `NONE`) to `nodes`, rebasing node links and attaching the root to
-    /// `parent`. Returns the root's absolute index.
-    fn splice_subtree(nodes: &mut Vec<Node>, subtree: Vec<Node>, parent: u32) -> u32 {
-        let base = nodes.len() as u32;
-        nodes.extend(subtree.into_iter().map(|mut node| {
-            node.parent = if node.parent == NONE {
-                parent
-            } else {
-                node.parent + base
-            };
-            if node.left != NONE {
-                node.left += base;
-                node.right += base;
-            }
-            node
-        }));
-        base
     }
 
     fn report_rec(&self, ni: u32, region: &Region, out: &mut Vec<usize>) {
         let node = &self.nodes[ni as usize];
-        if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
+        let (lo, hi) = self.bbox(ni);
+        if node.alive == 0 || !region.intersects_bbox(lo, hi) {
             return;
         }
-        if region.contains_bbox(&node.lo, &node.hi) {
+        if region.contains_bbox(lo, hi) {
             for pos in node.start..node.end {
                 if self.alive[pos as usize] {
                     out.push(self.ids[pos as usize] as usize);
@@ -185,10 +229,11 @@ impl KdTree {
 
     fn report_first_rec(&self, ni: u32, region: &Region) -> Option<usize> {
         let node = &self.nodes[ni as usize];
-        if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
+        let (lo, hi) = self.bbox(ni);
+        if node.alive == 0 || !region.intersects_bbox(lo, hi) {
             return None;
         }
-        if region.contains_bbox(&node.lo, &node.hi) {
+        if region.contains_bbox(lo, hi) {
             // alive > 0, so an alive position exists in the range.
             for pos in node.start..node.end {
                 if self.alive[pos as usize] {
@@ -212,10 +257,11 @@ impl KdTree {
 
     fn count_rec(&self, ni: u32, region: &Region) -> usize {
         let node = &self.nodes[ni as usize];
-        if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
+        let (lo, hi) = self.bbox(ni);
+        if node.alive == 0 || !region.intersects_bbox(lo, hi) {
             return 0;
         }
-        if region.contains_bbox(&node.lo, &node.hi) {
+        if region.contains_bbox(lo, hi) {
             return node.alive as usize;
         }
         if node.is_leaf() {
@@ -250,59 +296,55 @@ impl KdTree {
         }
     }
 
-    /// Estimated heap footprint in bytes (used by the space experiments).
+    /// Estimated heap footprint in bytes (used by the space experiments):
+    /// point coordinates and per-position tables, plus per node one
+    /// fixed-size `Node` and `2 · dim` bounding-box coordinates in the
+    /// flat `bounds` arena.
     pub fn memory_bytes(&self) -> usize {
         self.coords.len() * 8
             + self.ids.len() * 4
             + self.pos_of_id.len() * 4
             + self.alive.len()
             + self.leaf_of_pos.len() * 4
-            + self.nodes.len() * (std::mem::size_of::<Node>() + 2 * self.dim * 8)
+            + self.nodes.len() * std::mem::size_of::<Node>()
+            + self.bounds.len() * 8
     }
 }
 
 impl KdTree {
-    /// Builds the tree with up to `threads` scoped worker threads splitting
-    /// the subtree recursion. The node array, point order and every query
-    /// answer are **bit-identical** to [`BuildableIndex::build`] regardless
-    /// of `threads` (the parallel path splices subtrees back in serial
-    /// DFS-preorder position).
-    pub fn build_par(dim: usize, points: Vec<Vec<f64>>, threads: usize) -> Self {
+    /// Builds the tree over the row-major `points` (`dim` coordinates per
+    /// point; point `i` gets id `i`) with up to `threads` scoped worker
+    /// threads splitting the subtree recursion. The node array, point
+    /// order and every query answer are **bit-identical** for every
+    /// `threads` (the parallel path splices subtrees back in serial
+    /// DFS-preorder position) and to [`BuildableIndex::build`] over the
+    /// same rows.
+    ///
+    /// # Panics
+    /// Panics if `dim == 0`, `points.len()` is not a multiple of `dim`, or
+    /// a coordinate is `NaN`.
+    pub fn build_par(dim: usize, points: &[f64], threads: usize) -> Self {
         assert!(dim >= 1, "kd-tree requires dim >= 1");
-        let n = points.len();
+        assert_eq!(points.len() % dim, 0, "point dimension mismatch");
+        let n = points.len() / dim;
         assert!(n < u32::MAX as usize, "too many points for u32 ids");
-        for p in &points {
-            assert_eq!(p.len(), dim, "point dimension mismatch");
-            assert!(p.iter().all(|c| !c.is_nan()), "NaN coordinate");
-        }
-        if n == 0 {
-            return KdTree {
-                dim,
-                coords: vec![],
-                ids: vec![],
-                pos_of_id: vec![],
-                alive: vec![],
-                leaf_of_pos: vec![],
-                nodes: vec![],
-                n_alive: 0,
-            };
-        }
+        assert!(points.iter().all(|c| !c.is_nan()), "NaN coordinate");
         let mut perm: Vec<u32> = (0..n as u32).collect();
-        let mut nodes = Vec::with_capacity(2 * n / LEAF_SIZE + 1);
-        Self::build_rec(&mut nodes, &points, &mut perm, 0, NONE, dim, threads.max(1));
+        let mut arena = Arena::for_points(n, dim);
+        if n > 0 {
+            Self::build_rec(&mut arena, points, &mut perm, 0, NONE, dim, threads.max(1));
+        }
         // Materialize tree order.
         let mut coords = Vec::with_capacity(n * dim);
-        let mut ids = Vec::with_capacity(n);
         for &i in &perm {
-            coords.extend_from_slice(&points[i as usize]);
-            ids.push(i);
+            coords.extend_from_slice(&points[i as usize * dim..(i as usize + 1) * dim]);
         }
         let mut pos_of_id = vec![0u32; n];
-        for (pos, &id) in ids.iter().enumerate() {
+        for (pos, &id) in perm.iter().enumerate() {
             pos_of_id[id as usize] = pos as u32;
         }
         let mut leaf_of_pos = vec![NONE; n];
-        for (ni, node) in nodes.iter().enumerate() {
+        for (ni, node) in arena.nodes.iter().enumerate() {
             if node.is_leaf() {
                 for pos in node.start..node.end {
                     leaf_of_pos[pos as usize] = ni as u32;
@@ -313,11 +355,12 @@ impl KdTree {
         KdTree {
             dim,
             coords,
-            ids,
+            ids: perm,
             pos_of_id,
             alive: vec![true; n],
             leaf_of_pos,
-            nodes,
+            nodes: arena.nodes,
+            bounds: arena.bounds,
             n_alive: n,
         }
     }
@@ -325,7 +368,12 @@ impl KdTree {
 
 impl BuildableIndex for KdTree {
     fn build(dim: usize, points: Vec<Vec<f64>>) -> Self {
-        Self::build_par(dim, points, 1)
+        let mut rows = Vec::with_capacity(points.len() * dim);
+        for p in &points {
+            assert_eq!(p.len(), dim, "point dimension mismatch");
+            rows.extend_from_slice(p);
+        }
+        Self::build_par(dim, &rows, 1)
     }
 }
 
@@ -375,10 +423,11 @@ impl OrthoIndex for KdTree {
         let mut stack: Vec<u32> = vec![0];
         while let Some(ni) = stack.pop() {
             let node = &self.nodes[ni as usize];
-            if node.alive == 0 || !region.intersects_bbox(&node.lo, &node.hi) {
+            let (lo, hi) = self.bbox(ni);
+            if node.alive == 0 || !region.intersects_bbox(lo, hi) {
                 continue;
             }
-            let full = region.contains_bbox(&node.lo, &node.hi);
+            let full = region.contains_bbox(lo, hi);
             if full || node.is_leaf() {
                 let (start, end) = (node.start, node.end);
                 for pos in start..end {
@@ -523,31 +572,31 @@ mod tests {
         assert_eq!(out, vec![1]);
     }
 
+    /// Asserts two trees have equal point order, coordinates, nodes and
+    /// bounding boxes.
+    fn assert_same_tree(a: &KdTree, b: &KdTree, what: &str) {
+        assert_eq!(a.ids, b.ids, "{what}");
+        assert_eq!(a.coords, b.coords, "{what}");
+        assert_eq!(a.nodes, b.nodes, "{what}");
+        assert_eq!(a.bounds, b.bounds, "{what}");
+        assert_eq!(a.bounds.len(), a.nodes.len() * 2 * a.dim, "{what}");
+    }
+
     #[test]
     fn parallel_build_is_bit_identical_to_serial() {
         // Enough points to cross PAR_BUILD_THRESHOLD several levels deep.
         let n = 20_000;
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
+        let rows: Vec<f64> = (0..n)
+            .flat_map(|i| {
                 let x = (i as f64 * 0.7371) % 97.0;
                 let y = (i as f64 * 1.3113) % 53.0;
-                vec![x, y, (x * y) % 11.0]
+                [x, y, (x * y) % 11.0]
             })
             .collect();
-        let serial = KdTree::build(3, pts.clone());
+        let serial = KdTree::build_par(3, &rows, 1);
         for threads in [2, 3, 8] {
-            let par = KdTree::build_par(3, pts.clone(), threads);
-            assert_eq!(par.ids, serial.ids, "threads = {threads}");
-            assert_eq!(par.coords, serial.coords, "threads = {threads}");
-            assert_eq!(par.nodes.len(), serial.nodes.len());
-            for (a, b) in par.nodes.iter().zip(&serial.nodes) {
-                assert_eq!(a.lo, b.lo);
-                assert_eq!(a.hi, b.hi);
-                assert_eq!(
-                    (a.start, a.end, a.left, a.right, a.parent, a.alive),
-                    (b.start, b.end, b.left, b.right, b.parent, b.alive)
-                );
-            }
+            let par = KdTree::build_par(3, &rows, threads);
+            assert_same_tree(&par, &serial, &format!("threads = {threads}"));
             let region = Region::all(3)
                 .with_lo(0, 30.0, false)
                 .with_hi(1, 20.0, true);
@@ -557,6 +606,33 @@ mod tests {
             serial.report(&region, &mut want);
             assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn nested_and_row_major_builds_are_identical() {
+        // The `BuildableIndex` entry point flattens its rows and takes the
+        // same build path, including ±∞ coordinates and duplicate points.
+        let pts: Vec<Vec<f64>> = (0..700)
+            .map(|i| {
+                let x = match i % 97 {
+                    0 => f64::NEG_INFINITY,
+                    1 => f64::INFINITY,
+                    k => (k % 13) as f64,
+                };
+                vec![x, (i % 7) as f64, ((i * 31) % 50) as f64 * 0.5]
+            })
+            .collect();
+        let rows: Vec<f64> = pts.iter().flatten().copied().collect();
+        let nested = KdTree::build(3, pts);
+        // The arena is sized exactly, so the build never regrows it.
+        assert_eq!(nested.nodes.capacity(), nested.nodes.len());
+        assert_same_tree(&nested, &KdTree::build_par(3, &rows, 1), "serial");
+        assert_same_tree(&nested, &KdTree::build_par(3, &rows, 4), "threads = 4");
+        assert_same_tree(
+            &KdTree::build(2, vec![]),
+            &KdTree::build_par(2, &[], 1),
+            "empty",
+        );
     }
 
     #[test]

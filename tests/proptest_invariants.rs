@@ -42,6 +42,33 @@ fn brute_ptile(sets: &[Vec<f64>], lo: f64, hi: f64, theta: Interval) -> Vec<usiz
         .collect()
 }
 
+/// Strategy: one coordinate on a half-integer lattice in `[-1.5, 1.5]`,
+/// with both signs of zero (maximizing ties, grid hits and `-0.0`).
+fn lattice_coord() -> impl Strategy<Value = f64> {
+    ((-3i32..4), (0u8..2)).prop_map(|(v, neg)| {
+        if v == 0 && neg == 1 {
+            -0.0
+        } else {
+            f64::from(v) * 0.5
+        }
+    })
+}
+
+/// Strategy: per-dimension grid coordinate lists of 1..4 lattice values
+/// (single-coordinate axes included; duplicates are merged by the grid).
+fn grid_coords() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (
+        prop::collection::vec(lattice_coord(), 1..4),
+        prop::collection::vec(lattice_coord(), 1..4),
+        prop::collection::vec(lattice_coord(), 1..4),
+    )
+        .prop_map(|(a, b, c)| vec![a, b, c])
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -106,6 +133,47 @@ proptest! {
         let got = sorted(idx.query(lo, hi));
         let want = brute_ptile(&sets, lo, hi, theta);
         prop_assert_eq!(got, want);
+    }
+
+    /// The counted canonical-rectangle pass against the paper-literal
+    /// path: same rectangles in `enumerate_rects` order, expansions equal
+    /// to `one_step_expansion`, counts equal to `Rect::count_inside` — on
+    /// grids taken from the sample (every value on a coordinate) and on
+    /// independent grids (values between, below and above coordinates).
+    #[test]
+    fn counted_grid_pass_matches_enumeration(
+        d in 1usize..4,
+        raw in prop::collection::vec((lattice_coord(), lattice_coord(), lattice_coord()), 1..12),
+        coords in grid_coords(),
+        from_sample in 0u8..2,
+    ) {
+        let pts: Vec<Point> = raw
+            .iter()
+            .map(|&(x, y, z)| Point::new([x, y, z][..d].to_vec()))
+            .collect();
+        let grid = if from_sample == 1 {
+            CoordGrid::from_points(&pts)
+        } else {
+            CoordGrid::from_coords(coords[..d].to_vec())
+        };
+        let rects = grid.enumerate_rects();
+        let mut seen = 0usize;
+        let mut mismatch = None;
+        grid.for_each_rect(&pts, |r| {
+            let want = &rects[seen];
+            let hat = grid.one_step_expansion(want);
+            let ok = bits(r.lo) == bits(want.lo())
+                && bits(r.hi) == bits(want.hi())
+                && bits(r.hat_lo) == bits(hat.lo())
+                && bits(r.hat_hi) == bits(hat.hi())
+                && r.count as usize == want.count_inside(&pts);
+            if !ok && mismatch.is_none() {
+                mismatch = Some(format!("{want:?}: count {} vs {}", r.count, want.count_inside(&pts)));
+            }
+            seen += 1;
+        });
+        prop_assert_eq!(mismatch, None);
+        prop_assert_eq!(seen, rects.len());
     }
 
     /// Canonical grid invariants: the maximal rectangle inside any query
