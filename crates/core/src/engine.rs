@@ -17,6 +17,7 @@ use crate::pool::{par_map_with, BuildOptions};
 use crate::pref::{PrefBuildParams, PrefIndex};
 use crate::ptile::{PtileBuildParams, PtileRangeIndex};
 use crate::scratch::QueryScratch;
+use crate::telemetry::QueryReport;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -191,8 +192,9 @@ pub struct MixedQueryEngine {
     /// Atomic so the instrumentation survives concurrent `&self` queries.
     index_queries: AtomicU64,
     /// Cross-call predicate-mask cache used by the batch (and sharded)
-    /// query paths. Behind an `Arc` so a shard rebuild can carry the cache
-    /// (and its counters) over to the replacement engine.
+    /// query paths. Behind an `Arc` so a shard rebuild can hand the cache
+    /// to the replacement engine, which keeps its per-object counters; the
+    /// sharded engine's lifetime totals live in its `EngineTelemetry`.
     mask_cache: Arc<MaskCache>,
 }
 
@@ -364,7 +366,8 @@ impl MixedQueryEngine {
         expr: &LogicalExpr,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<usize>, EngineError> {
-        self.query_inner(&Dnf::compile(expr, Some(self.dim()))?, scratch, None)
+        let dnf = Dnf::compile(expr, Some(self.dim()))?;
+        self.query_inner(&dnf, scratch, None, &mut QueryReport::default())
     }
 
     /// Answers a slice of expressions with the default worker pool
@@ -393,7 +396,12 @@ impl MixedQueryEngine {
     ) -> Vec<Result<Vec<usize>, EngineError>> {
         par_map_with(opts, exprs, QueryScratch::new, |scratch, _, expr| {
             let dnf = Dnf::compile(expr, Some(self.dim()))?;
-            self.query_inner(&dnf, scratch, Some(&self.mask_cache))
+            self.query_inner(
+                &dnf,
+                scratch,
+                Some(&self.mask_cache),
+                &mut QueryReport::default(),
+            )
         })
     }
 
@@ -402,12 +410,15 @@ impl MixedQueryEngine {
     /// evaluated at most once (lazily, in clause order, so an error
     /// surfaces from the first failing literal), through `cache` when one
     /// is given. Masks are packed bitsets: clause intersection is a
-    /// word-wise AND over 64 datasets at a time.
+    /// word-wise AND over 64 datasets at a time. Tallies the index queries
+    /// and cache lookups into `tally`: a lookup is a miss when its compute
+    /// runs, a hit otherwise.
     pub(crate) fn query_inner(
         &self,
         dnf: &Dnf,
         scratch: &mut QueryScratch,
         cache: Option<&MaskCache>,
+        tally: &mut QueryReport,
     ) -> Result<Vec<usize>, EngineError> {
         let n = self.n_datasets;
         let mut out = Vec::new();
@@ -433,10 +444,17 @@ impl MixedQueryEngine {
                     empty => {
                         let pred = &dnf.preds[slot];
                         let computed = match cache {
-                            None => self.compute_mask(pred, scratch),
-                            Some(cache) => cache.get_or_compute(&dnf.keys[slot], || {
-                                self.compute_mask(pred, scratch)
-                            }),
+                            None => self.compute_mask(pred, scratch, tally),
+                            Some(cache) => {
+                                let mut ran = false;
+                                let mask = cache.get_or_compute(&dnf.keys[slot], || {
+                                    ran = true;
+                                    self.compute_mask(pred, scratch, tally)
+                                });
+                                tally.cache_misses += u64::from(ran);
+                                tally.cache_hits += u64::from(!ran);
+                                mask
+                            }
                         };
                         match computed {
                             Ok(m) => empty.insert(m),
@@ -466,6 +484,7 @@ impl MixedQueryEngine {
         &self,
         pred: &Predicate,
         scratch: &mut QueryScratch,
+        tally: &mut QueryReport,
     ) -> Result<Arc<BitSet>, EngineError> {
         let mut mask = BitSet::new(self.n_datasets);
         match &pred.measure {
@@ -486,6 +505,7 @@ impl MixedQueryEngine {
             }
         }
         self.index_queries.fetch_add(1, Ordering::Relaxed);
+        tally.index_queries += 1;
         Ok(Arc::new(mask))
     }
 }

@@ -62,15 +62,16 @@ pub struct DynamicPtileIndex {
     n_alive: usize,
 }
 
-/// One synopsis' insertion payload: the lifted pair points, the empty-slab
-/// triples per dimension and the achieved sampling error. A pure function
+/// One synopsis' insertion payload: the lifted pair points and the
+/// per-dimension empty-slab triples, each as row-major rows, and the
+/// achieved sampling error. A pure function
 /// of `(handle, budget_n, synopsis, params)` — per-handle RNG streams via
 /// [`mix_seed`]`(seed, handle)` — so batches can be computed on worker
 /// threads in any order and applied in handle order, bit-identical to
 /// serial one-at-a-time insertion.
 struct DynPart {
-    batch: Vec<Vec<f64>>,
-    slabs: Vec<Vec<Vec<f64>>>,
+    batch: Vec<f64>,
+    slabs: Vec<Vec<f64>>,
     eps_i: f64,
 }
 
@@ -171,24 +172,9 @@ impl DynamicPtileIndex {
         let cs = build_coreset(synopsis, params, budget_n, &mut rng);
         let eps_i = super::params::effective_eps(cs.eps_i, params.eps_override);
         let c_i = eps_i + params.delta;
-        // `LogStructured` takes one `Vec` per point: split the rows here.
-        let width = 4 * dim + 2;
-        let batch = cs
-            .pair_rows(c_i)
-            .chunks(width)
-            .map(<[f64]>::to_vec)
-            .collect();
-        let slabs = (0..dim)
-            .map(|h| {
-                cs.slab_rows(h, c_i)
-                    .chunks(3)
-                    .map(<[f64]>::to_vec)
-                    .collect()
-            })
-            .collect();
         DynPart {
-            batch,
-            slabs,
+            batch: cs.pair_rows(c_i),
+            slabs: (0..dim).map(|h| cs.slab_rows(h, c_i)).collect(),
             eps_i,
         }
     }
@@ -199,13 +185,13 @@ impl DynamicPtileIndex {
         let handle = self.next_handle;
         self.next_handle += 1;
         self.eps_max = self.eps_max.max(part.eps_i);
-        let gids = self.main.insert_batch(part.batch);
+        let gids = self.main.insert_rows(&part.batch);
         for &g in &gids {
             self.owner_main.insert(g, handle);
         }
         self.groups_main.insert(handle, gids);
-        for (h, slabs) in part.slabs.into_iter().enumerate() {
-            let gids = self.aux[h].insert_batch(slabs);
+        for (h, slabs) in part.slabs.iter().enumerate() {
+            let gids = self.aux[h].insert_rows(slabs);
             for &g in &gids {
                 self.owner_aux[h].insert(g, handle);
             }

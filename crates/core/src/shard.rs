@@ -48,6 +48,18 @@
 //! rebuild invalidates **only that shard's entries** while every other
 //! shard keeps serving cached masks.
 //!
+//! # Metrics
+//!
+//! The engine's counters, gauges and scatter-path timers live in one
+//! [`EngineTelemetry`] block behind an `Arc` that no lifecycle operation
+//! replaces. Each query call tallies its units into a [`QueryReport`] and
+//! adds it to the block once, so lifetime totals
+//! ([`stats_snapshot`](ShardedEngine::stats_snapshot)) never go backwards
+//! when a rebuild, split or merge drops a shard engine or its cache, and a
+//! serving layer holding a clone of the block
+//! ([`telemetry`](ShardedEngine::telemetry)) reads them without the engine
+//! lock. Per-shard engines and caches keep their own per-object counters.
+//!
 //! # Shard lifecycle
 //!
 //! A production catalog lives under churn: hot shards divide, cold shards
@@ -137,6 +149,7 @@ use crate::pref::PrefBuildParams;
 use crate::ptile::PtileBuildParams;
 use crate::scratch::QueryScratch;
 use crate::telemetry::EngineTelemetry;
+pub use crate::telemetry::{QueryReport, ShardedStats};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,34 +275,6 @@ impl fmt::Display for IngestError {
 }
 
 impl std::error::Error for IngestError {}
-
-/// A cheap point-in-time counter snapshot of a [`ShardedEngine`] — the
-/// surface a serving layer (e.g. `dds-server`) polls per stats request
-/// without touching any index structure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardedStats {
-    /// Shards currently served.
-    pub n_shards: u64,
-    /// Datasets across all shards.
-    pub n_datasets: u64,
-    /// Underlying index queries summed across shard engines.
-    pub index_queries: u64,
-    /// Mask-cache hits summed across shards.
-    pub cache_hits: u64,
-    /// Mask-cache misses summed across shards.
-    pub cache_misses: u64,
-    /// (expression, shard) scatter units routing skipped with a zero
-    /// mass bound: every clause proven by a literal whose rectangle holds
-    /// no sample mass (the shard's value range misses it).
-    pub shards_routed_past: u64,
-    /// Scatter units routing skipped with a positive mass bound: some
-    /// clause's proof needed the synopsis envelope.
-    pub shards_routed_by_synopsis: u64,
-    /// Lifecycle splits committed over the service lifetime.
-    pub splits: u64,
-    /// Lifecycle merges committed over the service lifetime.
-    pub merges: u64,
-}
 
 /// One shard's size and query load — the per-shard counters behind
 /// [`ShardedEngine::rebalance_plan`].
@@ -430,24 +415,10 @@ pub struct QueryPlan {
     routing: Option<Vec<PlanClause>>,
 }
 
-/// What one [`execute`](ShardedEngine::execute) call's scatter units did.
-/// Counted per call, so it stays exact however many calls run at once;
-/// the engine-lifetime totals live in [`ShardedStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryReport {
-    /// (expression, shard) units evaluated on their shard.
-    pub evaluated: u64,
-    /// Units routing skipped with a zero mass bound (see
-    /// [`ShardedStats::shards_routed_past`]).
-    pub skipped_box: u64,
-    /// Units routing skipped with a positive mass bound (see
-    /// [`ShardedStats::shards_routed_by_synopsis`]).
-    pub skipped_synopsis: u64,
-}
-
-/// One scatter unit's outcome: how routing disposed of it, and the
-/// shard's hits as global ids (empty when skipped).
-type Unit = (Skip, Result<Vec<GlobalId>, EngineError>);
+/// One scatter unit's outcome: its tallies (how routing disposed of it,
+/// what its evaluation did), and the shard's hits as global ids (empty
+/// when skipped).
+type Unit = (QueryReport, Result<Vec<GlobalId>, EngineError>);
 
 /// A sharded mixed-query service: one [`MixedQueryEngine`] per repository
 /// shard, scatter/gather query paths, stable [`GlobalId`] answers and
@@ -500,22 +471,9 @@ pub struct ShardedEngine {
     /// merge). Set once with
     /// [`with_build_options`](Self::with_build_options).
     build_opts: BuildOptions,
-    /// (expression, shard) scatter units skipped with a zero mass bound.
-    /// Data-dependent, not timing-dependent, so the count is
-    /// deterministic for a given workload.
-    routed_past: AtomicU64,
-    /// Scatter units skipped with a positive mass bound (disjoint from
-    /// `routed_past`; total skipped is the sum).
-    routed_by_synopsis: AtomicU64,
-    /// Lifecycle splits committed (`&mut self` ops, so a plain counter).
-    splits: u64,
-    /// Lifecycle merges committed.
-    merges: u64,
-    /// Wall-clock timers for the scatter path (routing decisions,
-    /// per-scatter-unit execution). Lock-free atomics recorded from
-    /// `&self`, like the routing counters above — but timing-dependent,
-    /// so strictly observational: nothing here may influence an answer.
-    telemetry: EngineTelemetry,
+    /// The engine's one metrics block (see the module docs): never
+    /// replaced, so its lifetime counters survive every lifecycle op.
+    telemetry: Arc<EngineTelemetry>,
 }
 
 impl ShardedEngine {
@@ -541,11 +499,7 @@ impl ShardedEngine {
             cache_capacity: crate::cache::DEFAULT_MASK_CACHE_CAPACITY,
             route: true,
             build_opts: BuildOptions::default(),
-            routed_past: AtomicU64::new(0),
-            routed_by_synopsis: AtomicU64::new(0),
-            splits: 0,
-            merges: 0,
-            telemetry: EngineTelemetry::new(),
+            telemetry: Arc::default(),
         }
     }
 
@@ -614,17 +568,18 @@ impl ShardedEngine {
         let shard = self.build_shard(repo.clone(), global_ids.to_vec(), cache, 0);
         self.ids_in_use.extend(global_ids.iter().copied());
         self.shards.push(shard);
+        self.publish_shape();
         Ok(self.shards.len() - 1)
     }
 
     /// Replaces shard `shard`'s contents (incremental ingest: a data
     /// refresh re-lands the shard). The replacement engine **inherits the
     /// shard's mask cache with its generation bumped**: the shard's stale
-    /// masks are invalidated (and its hit/miss accounting continues),
-    /// while every other shard's cache is untouched. A rejected rebuild
-    /// (`shard` out of range, `global_ids.len() != repo.len()`, an id
-    /// already served by a *different* shard — re-using the replaced
-    /// shard's ids is the normal case) returns the typed [`IngestError`]
+    /// masks are invalidated, while every other shard's cache is
+    /// untouched. A rejected rebuild (`shard` out of range,
+    /// `global_ids.len() != repo.len()`, an id already served by a
+    /// *different* shard — re-using the replaced shard's ids is the
+    /// normal case) returns the typed [`IngestError`]
     /// and leaves the service — including the shard being replaced —
     /// untouched.
     pub fn try_rebuild_shard(
@@ -649,6 +604,7 @@ impl ShardedEngine {
         self.ids_in_use.extend(global_ids.iter().copied());
         self.shards[shard].engine.mask_cache().invalidate();
         self.shards[shard] = new;
+        self.publish_shape();
         Ok(())
     }
 
@@ -716,7 +672,8 @@ impl ShardedEngine {
         self.shards[shard].engine.mask_cache().invalidate();
         self.shards[shard] = stay;
         self.shards.push(moved);
-        self.splits += 1;
+        self.telemetry.splits.fetch_add(1, Ordering::Relaxed);
+        self.publish_shape();
         Ok(self.shards.len() - 1)
     }
 
@@ -750,7 +707,8 @@ impl ShardedEngine {
         self.shards[lo].engine.mask_cache().invalidate();
         self.shards[lo] = merged;
         self.shards.remove(hi);
-        self.merges += 1;
+        self.telemetry.merges.fetch_add(1, Ordering::Relaxed);
+        self.publish_shape();
         Ok(lo)
     }
 
@@ -896,59 +854,45 @@ impl ShardedEngine {
         &self.shards[shard].engine
     }
 
-    /// Underlying index queries summed across every shard engine — each is
-    /// an `AtomicU64`, so the aggregate survives concurrent scatter
-    /// workers (and advances by the number of distinct *uncached*
-    /// predicates per shard).
+    /// Underlying index queries the engine's query calls issued over its
+    /// lifetime: the number of distinct *uncached* predicates per
+    /// evaluated shard.
     pub fn index_queries(&self) -> u64 {
-        self.shards.iter().map(|s| s.engine.index_queries()).sum()
+        self.stats_snapshot().index_queries
     }
 
-    /// Mask-cache `(hits, misses)` summed across every shard's
-    /// [`MaskCache`] — lifetime totals, surviving shard rebuilds (a
-    /// rebuilt shard keeps its cache object).
+    /// Mask-cache `(hits, misses)` of the engine's query calls over its
+    /// lifetime — counted by the engine, not read from the shard caches,
+    /// so no rebuild, split or merge takes them back.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let c = s.engine.mask_cache();
-            (h + c.hits(), m + c.misses())
-        })
+        let s = self.stats_snapshot();
+        (s.cache_hits, s.cache_misses)
     }
 
     /// (expression, shard) scatter units routing skipped with a zero mass
     /// bound over the service lifetime (see the module docs).
     pub fn shards_routed_past(&self) -> u64 {
-        self.routed_past.load(Ordering::Relaxed)
+        self.stats_snapshot().shards_routed_past
     }
 
     /// Scatter units routing skipped with a positive mass bound (disjoint
     /// from [`shards_routed_past`](Self::shards_routed_past); total
     /// skipped is the sum).
     pub fn shards_routed_by_synopsis(&self) -> u64 {
-        self.routed_by_synopsis.load(Ordering::Relaxed)
+        self.stats_snapshot().shards_routed_by_synopsis
     }
 
-    /// The engine's scatter-path latency histograms (routing decisions,
-    /// per-scatter-unit execution). Observational only — see
-    /// [`EngineTelemetry`].
-    pub fn telemetry(&self) -> &EngineTelemetry {
+    /// The engine's metrics block: counters, gauges and scatter-path
+    /// histograms. The `Arc` is never replaced, so a clone keeps reading
+    /// the live values without the engine.
+    pub fn telemetry(&self) -> &Arc<EngineTelemetry> {
         &self.telemetry
     }
 
-    /// A cheap counter snapshot (no index structure is touched) — the
-    /// per-request stats surface of a serving layer.
+    /// A cheap counter snapshot of the metrics block (no index structure
+    /// is touched) — the per-request stats surface of a serving layer.
     pub fn stats_snapshot(&self) -> ShardedStats {
-        let (cache_hits, cache_misses) = self.cache_stats();
-        ShardedStats {
-            n_shards: self.n_shards() as u64,
-            n_datasets: self.n_datasets() as u64,
-            index_queries: self.index_queries(),
-            cache_hits,
-            cache_misses,
-            shards_routed_past: self.shards_routed_past(),
-            shards_routed_by_synopsis: self.shards_routed_by_synopsis(),
-            splits: self.splits,
-            merges: self.merges,
-        }
+        self.telemetry.stats()
     }
 
     /// The loosest Ptile guarantee band across shards (each shard states
@@ -979,9 +923,9 @@ impl ShardedEngine {
     /// `(plan, shard)` pair is one scatter unit over
     /// `dds_pool::par_map_with` (per-worker scratch), gathered back
     /// **input-ordered** — `answers[i]` answers `plans[i]` as ascending
-    /// global ids — together with the call's [`QueryReport`]. A shard
-    /// error (every shard is built with the same ranks, so shards fail
-    /// alike) is reported once.
+    /// global ids — together with the call's [`QueryReport`], which is
+    /// also added to the metrics block. A shard error (every shard is
+    /// built with the same ranks, so shards fail alike) is reported once.
     ///
     /// # Panics
     /// Panics if a plan was made before the engine's first shard fixed
@@ -1005,7 +949,9 @@ impl ShardedEngine {
         let partials = par_map_with(opts, &units, QueryScratch::new, |scratch, _, &(e, s)| {
             self.eval_unit(&plans[e], s, scratch)
         });
-        Self::gather(partials, plans.len(), n_shards)
+        let (answers, report) = Self::gather(partials, plans.len(), n_shards);
+        self.telemetry.record(&report);
+        (answers, report)
     }
 
     /// Answers one expression: scatters it over every shard, inline on
@@ -1027,7 +973,8 @@ impl ShardedEngine {
     ) -> Result<Vec<GlobalId>, EngineError> {
         let plan = self.plan(expr)?;
         let units = (0..self.shards.len()).map(|s| self.eval_unit(&plan, s, scratch));
-        let (mut answers, _) = Self::gather(units, 1, self.shards.len());
+        let (mut answers, report) = Self::gather(units, 1, self.shards.len());
+        self.telemetry.record(&report);
         answers.pop().expect("one answer per plan")
     }
 
@@ -1063,9 +1010,9 @@ impl ShardedEngine {
     }
 
     /// Evaluates one (expression, shard) scatter unit — the only place a
-    /// shard answers a query: the routing verdict, the shard-load and
-    /// routing counters, routing and scatter telemetry, and translation
-    /// of the shard-local hits to global ids.
+    /// shard answers a query: the routing verdict, the unit's tallies and
+    /// the shard-load counter, routing and scatter telemetry, and
+    /// translation of the shard-local hits to global ids.
     fn eval_unit(&self, plan: &QueryPlan, s: usize, scratch: &mut QueryScratch) -> Unit {
         let shard = &self.shards[s];
         let started = Instant::now();
@@ -1075,20 +1022,21 @@ impl ShardedEngine {
             .map_or(Skip::No, |clauses| Self::shard_skip(clauses, shard));
         let routed = Instant::now();
         self.telemetry.routing.record_duration(routed - started);
-        let counter = match skip {
-            Skip::Box => &self.routed_past,
-            Skip::Synopsis => &self.routed_by_synopsis,
-            Skip::No => &shard.queries,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let mut report = QueryReport::default();
+        *match skip {
+            Skip::Box => &mut report.skipped_box,
+            Skip::Synopsis => &mut report.skipped_synopsis,
+            Skip::No => &mut report.evaluated,
+        } = 1;
         if skip != Skip::No {
-            return (skip, Ok(Vec::new()));
+            return (report, Ok(Vec::new()));
         }
+        shard.queries.fetch_add(1, Ordering::Relaxed);
         let engine = &shard.engine;
-        let hits = engine.query_inner(&plan.dnf, scratch, Some(engine.mask_cache()));
+        let hits = engine.query_inner(&plan.dnf, scratch, Some(engine.mask_cache()), &mut report);
         self.telemetry.scatter.record_duration(routed.elapsed());
         let hits = hits.map(|local| local.into_iter().map(|j| shard.global_ids[j]).collect());
-        (skip, hits)
+        (report, hits)
     }
 
     /// Gathers scatter units — `n_shards` per expression, expression-major
@@ -1106,12 +1054,8 @@ impl ShardedEngine {
         let answers = (0..n_exprs)
             .map(|_| {
                 let mut merged: Result<Vec<GlobalId>, EngineError> = Ok(Vec::new());
-                for (skip, partial) in units.by_ref().take(n_shards) {
-                    *match skip {
-                        Skip::No => &mut report.evaluated,
-                        Skip::Box => &mut report.skipped_box,
-                        Skip::Synopsis => &mut report.skipped_synopsis,
-                    } += 1;
+                for (tally, partial) in units.by_ref().take(n_shards) {
+                    report.add(&tally);
                     if let Ok(acc) = &mut merged {
                         match partial {
                             Ok(ids) if acc.is_empty() => *acc = ids,
@@ -1232,6 +1176,14 @@ impl ShardedEngine {
             }
         }
         Ok(())
+    }
+
+    /// Sets the metrics block's gauges to the shape a lifecycle op just
+    /// committed.
+    fn publish_shape(&self) {
+        let (shards, datasets) = (self.shards.len() as u64, self.n_datasets() as u64);
+        self.telemetry.n_shards.store(shards, Ordering::Relaxed);
+        self.telemetry.n_datasets.store(datasets, Ordering::Relaxed);
     }
 
     /// `Err(NoSuchShard)` unless `shard` indexes a served shard.
@@ -2075,5 +2027,173 @@ mod tests {
                 move_ids: vec![1],
             }]
         );
+    }
+
+    /// The lifetime counters of a snapshot (every field but the gauges).
+    fn lifetime(s: &ShardedStats) -> [u64; 7] {
+        [
+            s.index_queries,
+            s.cache_hits,
+            s.cache_misses,
+            s.shards_routed_past,
+            s.shards_routed_by_synopsis,
+            s.splits,
+            s.merges,
+        ]
+    }
+
+    #[test]
+    fn lifetime_counters_never_decrease_across_lifecycle_ops() {
+        let mut svc = service();
+        let exprs = [wide_expr(), low_expr(), wide_expr()];
+        let run = |svc: &ShardedEngine| {
+            for e in &exprs {
+                let _ = svc.query(e);
+            }
+            let _ = svc.query_batch_opts(&exprs, &BuildOptions::serial());
+        };
+        let mut prev = [0u64; 7];
+        let mut check = |svc: &ShardedEngine, step: &str| {
+            let snap = svc.stats_snapshot();
+            assert_eq!(
+                (snap.n_shards, snap.n_datasets),
+                (svc.n_shards() as u64, svc.n_datasets() as u64),
+                "{step}: the gauges follow the committed shape"
+            );
+            let now = lifetime(&snap);
+            assert!(
+                now.iter().zip(&prev).all(|(n, p)| n >= p),
+                "{step}: a lifetime counter went backwards: {prev:?} -> {now:?}"
+            );
+            prev = now;
+        };
+        run(&svc);
+        check(&svc, "queries");
+        run(&svc);
+        check(&svc, "warm queries");
+        svc.try_rebuild_shard(
+            1,
+            &Repository::new(vec![dataset("mid2", &[47.0, 53.0])]),
+            &[5],
+        )
+        .unwrap();
+        check(&svc, "rebuild");
+        run(&svc);
+        check(&svc, "queries after rebuild");
+        assert_eq!(svc.try_split_shard(0, &[3]), Ok(2));
+        check(&svc, "split");
+        run(&svc);
+        check(&svc, "queries after split");
+        assert_eq!(svc.try_merge_shards(0, 2), Ok(0));
+        check(&svc, "merge");
+        run(&svc);
+        check(&svc, "queries after merge");
+        let [index_queries, hits, misses, routed, _, splits, merges] = prev;
+        assert!(index_queries > 0 && hits > 0 && misses > 0 && routed > 0);
+        assert_eq!((splits, merges), (1, 1));
+    }
+
+    #[test]
+    fn query_reports_are_exact_under_concurrent_execute() {
+        // Four shards in disjoint value bands, routing on.
+        let mut svc = ShardedEngine::new(
+            &[1],
+            PtileBuildParams::exact_centralized(),
+            PrefBuildParams::exact_centralized(),
+        );
+        for s in 0..4u64 {
+            let base = 100.0 * s as f64;
+            svc.add_shard(
+                &Repository::new(vec![
+                    dataset("a", &[base + 1.0, base + 2.0]),
+                    dataset("b", &[base + 5.0, base + 9.0]),
+                ]),
+                &[2 * s, 2 * s + 1],
+            );
+        }
+        let band = |lo: f64, hi: f64| {
+            LogicalExpr::Pred(Predicate::percentile_at_least(Rect::interval(lo, hi), 0.5))
+        };
+        let exprs = [
+            band(0.0, 10.0),
+            LogicalExpr::Or(vec![band(100.0, 110.0), band(300.0, 310.0)]),
+            // p ∧ (q ∨ r) repeats p across both DNF clauses: three
+            // distinct predicates.
+            LogicalExpr::And(vec![
+                band(0.0, 400.0),
+                LogicalExpr::Or(vec![band(0.0, 10.0), band(200.0, 210.0)]),
+            ]),
+            band(1000.0, 2000.0),
+            LogicalExpr::Pred(Predicate::topk_at_least(vec![1.0], 1, 50.0)),
+        ];
+        for threads in [1, 4] {
+            let opts = BuildOptions::with_threads(threads);
+            let before = svc.stats_snapshot();
+            let scattered_before = svc.telemetry().scatter.count();
+            let (svc, exprs, opts) = (&svc, &exprs, &opts);
+            let reports: Vec<QueryReport> = std::thread::scope(|s| {
+                let callers: Vec<_> = (0..4)
+                    .map(|c| {
+                        s.spawn(move || {
+                            (0..2 * exprs.len())
+                                .map(|round| {
+                                    let plan = svc.plan(&exprs[(c + round) % exprs.len()]).unwrap();
+                                    let (answers, r) =
+                                        svc.execute(std::slice::from_ref(&plan), opts);
+                                    assert!(answers[0].is_ok());
+                                    assert_eq!(
+                                        r.evaluated + r.skipped_box + r.skipped_synopsis,
+                                        svc.n_shards() as u64
+                                    );
+                                    assert_eq!(
+                                        r.cache_hits + r.cache_misses,
+                                        r.evaluated * plan.dnf.preds.len() as u64,
+                                        "one lookup per (evaluated unit, distinct predicate)"
+                                    );
+                                    r
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                callers
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            });
+            let mut total = QueryReport::default();
+            reports.iter().for_each(|r| total.add(r));
+            let after = svc.stats_snapshot();
+            assert_eq!(
+                [
+                    after.index_queries - before.index_queries,
+                    after.cache_hits - before.cache_hits,
+                    after.cache_misses - before.cache_misses,
+                    after.shards_routed_past - before.shards_routed_past,
+                    after.shards_routed_by_synopsis - before.shards_routed_by_synopsis,
+                    svc.telemetry().scatter.count() - scattered_before,
+                ],
+                [
+                    total.index_queries,
+                    total.cache_hits,
+                    total.cache_misses,
+                    total.skipped_box,
+                    total.skipped_synopsis,
+                    total.evaluated,
+                ],
+                "threads = {threads}: the reports sum to the snapshot's change"
+            );
+            assert!(total.skipped_box > 0 && total.cache_hits > 0);
+        }
+        // With no lifecycle op, the block equals the per-object counters.
+        let sum = |f: fn(&MixedQueryEngine) -> u64| {
+            (0..svc.n_shards())
+                .map(|s| f(svc.shard_engine(s)))
+                .sum::<u64>()
+        };
+        let snap = svc.stats_snapshot();
+        assert_eq!(snap.index_queries, sum(|e| e.index_queries()));
+        assert_eq!(snap.cache_hits, sum(|e| e.mask_cache().hits()));
+        assert_eq!(snap.cache_misses, sum(|e| e.mask_cache().misses()));
     }
 }

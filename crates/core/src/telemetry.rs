@@ -1,18 +1,19 @@
-//! Lock-free latency telemetry: log₂ histograms, request-lifecycle stage
-//! timing sets, and a bounded slow-query ring log.
-//!
-//! The server's stats frame counts *how many* things happened; this module
-//! measures *how long* they took and *where* the time went. Three pieces:
+//! The engine's metrics and lock-free latency telemetry: the
+//! [`EngineTelemetry`] block of engine counters, gauges and timers, log₂
+//! histograms, request-lifecycle stage timing sets, and a bounded
+//! slow-query ring log.
 //!
 //! * [`LatencyHistogram`] — fixed log₂-bucketed nanosecond histogram with
 //!   atomic counts. Recording is one relaxed `fetch_add` (no locks, no
 //!   allocation), so it is safe on zero-alloc hot paths and from `&self`
 //!   on shared-read query paths. [`HistogramSnapshot`] is the plain-data
 //!   view: mergeable across histograms and machines, with quantiles.
-//! * [`StageTimings`] / [`EngineTelemetry`] — named histogram sets for the
-//!   server request lifecycle (decode → admission-queue wait → execute →
-//!   response encode+write) and the engine's scatter path (routing
-//!   decisions, per-scatter-unit execution).
+//! * [`EngineTelemetry`] — the one metrics block of a `ShardedEngine`:
+//!   lifetime counters (tallied per query call into a [`QueryReport`] and
+//!   added once), shard/dataset gauges set at each lifecycle commit, and
+//!   the scatter-path histograms. [`StageTimings`] is the server's
+//!   request-lifecycle histogram set (decode → admission-queue wait →
+//!   execute → response encode+write).
 //! * [`SlowQueryLog`] — a bounded ring buffer of structured [`QueryTrace`]
 //!   records for requests whose end-to-end time exceeded a threshold.
 //!
@@ -215,7 +216,80 @@ impl StageTimings {
     }
 }
 
-/// Engine-side timers recorded by `ShardedEngine` on its scatter path.
+/// What one `ShardedEngine` query call's (expression, shard) scatter
+/// units did. Counted per call, so it stays exact however many calls run
+/// at once; each call adds its report to the engine's [`EngineTelemetry`]
+/// once, so the lifetime totals in [`ShardedStats`] are the sum of the
+/// reports.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueryReport {
+    /// (expression, shard) units evaluated on their shard.
+    pub evaluated: u64,
+    /// Units routing skipped with a zero mass bound (see
+    /// [`ShardedStats::shards_routed_past`]).
+    pub skipped_box: u64,
+    /// Units routing skipped with a positive mass bound (see
+    /// [`ShardedStats::shards_routed_by_synopsis`]).
+    pub skipped_synopsis: u64,
+    /// Underlying index queries the evaluated units issued.
+    pub index_queries: u64,
+    /// Mask-cache lookups answered without running their compute.
+    pub cache_hits: u64,
+    /// Mask-cache lookups that ran their compute (one per distinct
+    /// predicate computation, however the lookups race).
+    pub cache_misses: u64,
+}
+
+impl QueryReport {
+    /// Adds `other`'s tallies to this report.
+    pub(crate) fn add(&mut self, other: &QueryReport) {
+        self.evaluated += other.evaluated;
+        self.skipped_box += other.skipped_box;
+        self.skipped_synopsis += other.skipped_synopsis;
+        self.index_queries += other.index_queries;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+    }
+}
+
+/// A cheap point-in-time snapshot of a `ShardedEngine`'s
+/// [`EngineTelemetry`] counters and gauges — the surface a serving layer
+/// (e.g. `dds-server`) polls per stats request without touching any index
+/// structure or engine lock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardedStats {
+    /// Shards currently served (a gauge).
+    pub n_shards: u64,
+    /// Datasets across all shards (a gauge).
+    pub n_datasets: u64,
+    /// Underlying index queries issued by the engine's query calls.
+    pub index_queries: u64,
+    /// Mask-cache lookups answered from the cache.
+    pub cache_hits: u64,
+    /// Mask-cache lookups that computed their mask.
+    pub cache_misses: u64,
+    /// (expression, shard) scatter units routing skipped with a zero
+    /// mass bound: every clause proven by a literal whose rectangle holds
+    /// no sample mass (the shard's value range misses it).
+    pub shards_routed_past: u64,
+    /// Scatter units routing skipped with a positive mass bound: some
+    /// clause's proof needed the synopsis envelope.
+    pub shards_routed_by_synopsis: u64,
+    /// Lifecycle splits committed over the service lifetime.
+    pub splits: u64,
+    /// Lifecycle merges committed over the service lifetime.
+    pub merges: u64,
+}
+
+/// The one metrics block of a `ShardedEngine`, held behind an `Arc` that
+/// no lifecycle op replaces: its lifetime counters survive adding,
+/// rebuilding, splitting and merging shards, and a serving layer holding a
+/// clone reads it without the engine lock.
+///
+/// Counters only ever grow: each query call adds its [`QueryReport`] once,
+/// each committed split or merge adds one. The `n_shards`/`n_datasets`
+/// gauges are set when a lifecycle op commits. The histograms are
+/// wall-clock, so strictly observational.
 #[derive(Debug, Default)]
 pub struct EngineTelemetry {
     /// Per-(expression × shard) routing decision time.
@@ -223,12 +297,53 @@ pub struct EngineTelemetry {
     /// Per-scatter-unit execution time (one expression on one shard);
     /// its sample count doubles as "scatter units actually evaluated".
     pub scatter: LatencyHistogram,
+    pub(crate) index_queries: AtomicU64,
+    pub(crate) cache_hits: AtomicU64,
+    pub(crate) cache_misses: AtomicU64,
+    pub(crate) routed_past: AtomicU64,
+    pub(crate) routed_by_synopsis: AtomicU64,
+    pub(crate) splits: AtomicU64,
+    pub(crate) merges: AtomicU64,
+    pub(crate) n_shards: AtomicU64,
+    pub(crate) n_datasets: AtomicU64,
 }
 
 impl EngineTelemetry {
     /// An empty engine-telemetry set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Adds one query call's tallies to the lifetime counters.
+    pub(crate) fn record(&self, r: &QueryReport) {
+        for (counter, n) in [
+            (&self.index_queries, r.index_queries),
+            (&self.cache_hits, r.cache_hits),
+            (&self.cache_misses, r.cache_misses),
+            (&self.routed_past, r.skipped_box),
+            (&self.routed_by_synopsis, r.skipped_synopsis),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The counters and gauges as plain data (each read atomically, at
+    /// slightly different instants).
+    pub fn stats(&self) -> ShardedStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ShardedStats {
+            n_shards: get(&self.n_shards),
+            n_datasets: get(&self.n_datasets),
+            index_queries: get(&self.index_queries),
+            cache_hits: get(&self.cache_hits),
+            cache_misses: get(&self.cache_misses),
+            shards_routed_past: get(&self.routed_past),
+            shards_routed_by_synopsis: get(&self.routed_by_synopsis),
+            splits: get(&self.splits),
+            merges: get(&self.merges),
+        }
     }
 }
 

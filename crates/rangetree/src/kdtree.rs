@@ -9,11 +9,12 @@
 //! `bounds` arena beside the node array (`2 · dim` coordinates per node),
 //! so a build allocates per tree, not per node, and a traversal reads
 //! boxes from one contiguous buffer. The build takes row-major rows
-//! ([`KdTree::build_par`]); [`BuildableIndex::build`] flattens its nested
-//! rows into the same path. The query loops of Algorithms 2 and 4 use the
-//! single-pass `report_while` traversal (each node visited once per
-//! query); the tombstone machinery serves the eager Algorithm-2 variant,
-//! the dynamic wrapper and the ablations.
+//! ([`KdTree::build_par`], or [`BuildableIndex::build_rows`]);
+//! [`BuildableIndex::build`] flattens its nested rows into the same path.
+//! The query loops of Algorithms 2 and 4 use the single-pass
+//! `report_while` traversal (each node visited once per query); the
+//! tombstone machinery serves the eager Algorithm-2 variant, the dynamic
+//! wrapper and the ablations.
 
 use crate::{BuildableIndex, DeletableIndex, OrthoIndex, Region};
 
@@ -373,7 +374,11 @@ impl BuildableIndex for KdTree {
             assert_eq!(p.len(), dim, "point dimension mismatch");
             rows.extend_from_slice(p);
         }
-        Self::build_par(dim, &rows, 1)
+        Self::build_rows(dim, &rows)
+    }
+
+    fn build_rows(dim: usize, rows: &[f64]) -> Self {
+        Self::build_par(dim, rows, 1)
     }
 }
 

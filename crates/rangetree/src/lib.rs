@@ -103,4 +103,12 @@ pub trait BuildableIndex: OrthoIndex + Sized {
     /// Builds the index over `points` (row-major coordinates). Ids are
     /// assigned in input order: point `i` gets id `i`.
     fn build(dim: usize, points: Vec<Vec<f64>>) -> Self;
+
+    /// Builds the index over `rows`: `dim` coordinates per point,
+    /// row-major, ids in row order. The default splits the rows into
+    /// points for [`build`](Self::build); backends that store flat rows
+    /// override it to build without that copy.
+    fn build_rows(dim: usize, rows: &[f64]) -> Self {
+        Self::build(dim, rows.chunks(dim).map(<[f64]>::to_vec).collect())
+    }
 }

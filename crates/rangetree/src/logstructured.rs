@@ -22,8 +22,9 @@ const BASE_CAPACITY: usize = 32;
 #[derive(Clone, Debug)]
 struct Bucket<I> {
     index: I,
-    /// Row-major copies of the points, kept for rebuild-on-merge.
-    points: Vec<Vec<f64>>,
+    /// The points' coordinates, row-major (`dim` per local id), kept for
+    /// rebuild-on-merge.
+    rows: Vec<f64>,
     /// local id -> global id.
     globals: Vec<GlobalId>,
     /// Alive flags, mirroring the inner index's tombstones.
@@ -75,16 +76,28 @@ impl<I: BuildableIndex + DeletableIndex> LogStructured<I> {
 
     /// Inserts a batch of points and returns their global ids.
     pub fn insert_batch(&mut self, points: Vec<Vec<f64>>) -> Vec<GlobalId> {
+        let mut rows = Vec::with_capacity(points.len() * self.dim);
         for p in &points {
             assert_eq!(p.len(), self.dim, "point dimension mismatch");
+            rows.extend_from_slice(p);
         }
-        let gids: Vec<GlobalId> = (self.entries.len()..self.entries.len() + points.len()).collect();
+        self.insert_rows(&rows)
+    }
+
+    /// Inserts a batch of points given as row-major coordinates (`dim`
+    /// per point) and returns their global ids. A merge copies each alive
+    /// row once, into the merged bucket the new index is built from.
+    pub fn insert_rows(&mut self, rows: &[f64]) -> Vec<GlobalId> {
+        let dim = self.dim;
+        assert_eq!(rows.len() % dim, 0, "point dimension mismatch");
+        let n_new = rows.len() / dim;
+        let gids: Vec<GlobalId> = (self.entries.len()..self.entries.len() + n_new).collect();
         self.entries.extend(gids.iter().map(|_| None));
-        self.n_alive += points.len();
+        self.n_alive += n_new;
 
         // Find the destination level: the first empty slot whose capacity
         // holds the batch plus all alive points of the levels below it.
-        let mut total: usize = points.len();
+        let mut total: usize = n_new;
         let mut level = 0usize;
         loop {
             if level == self.buckets.len() {
@@ -101,14 +114,14 @@ impl<I: BuildableIndex + DeletableIndex> LogStructured<I> {
         }
 
         // Drain levels below `level` (alive points only) and merge.
-        let mut merged_points: Vec<Vec<f64>> = Vec::with_capacity(total);
+        let mut merged_rows: Vec<f64> = Vec::with_capacity(total * dim);
         let mut merged_globals: Vec<GlobalId> = Vec::with_capacity(total);
         for l in 0..level {
             if let Some(b) = self.buckets[l].take() {
                 for (local, alive) in b.alive.iter().enumerate() {
                     let gid = b.globals[local];
                     if *alive {
-                        merged_points.push(b.points[local].clone());
+                        merged_rows.extend_from_slice(&b.rows[local * dim..(local + 1) * dim]);
                         merged_globals.push(gid);
                     } else {
                         // Dead point dropped for good.
@@ -117,17 +130,17 @@ impl<I: BuildableIndex + DeletableIndex> LogStructured<I> {
                 }
             }
         }
-        merged_points.extend(points);
+        merged_rows.extend_from_slice(rows);
         merged_globals.extend(gids.iter().copied());
 
-        let n = merged_points.len();
-        let index = I::build(self.dim, merged_points.clone());
+        let n = merged_globals.len();
+        let index = I::build_rows(dim, &merged_rows);
         for (local, &gid) in merged_globals.iter().enumerate() {
             self.entries[gid] = Some((level as u32, local as u32));
         }
         self.buckets[level] = Some(Bucket {
             index,
-            points: merged_points,
+            rows: merged_rows,
             globals: merged_globals,
             alive: vec![true; n],
             n_alive: n,
@@ -294,5 +307,32 @@ mod tests {
         assert_eq!(ls.alive(), 32);
         assert_eq!(ls.count(&all), 32);
         let _ = gids;
+    }
+
+    #[test]
+    fn row_inserts_match_nested_inserts_through_merges_and_deletes() {
+        let mut nested: LogStructured<KdTree> = LogStructured::new(2);
+        let mut flat: LogStructured<KdTree> = LogStructured::new(2);
+        for b in 0..40usize {
+            let points: Vec<Vec<f64>> = (0..b % 7 + 1)
+                .map(|i| vec![(b * 10 + i) as f64, ((i * 3) % 5) as f64])
+                .collect();
+            let rows = points.concat();
+            assert_eq!(nested.insert_batch(points), flat.insert_rows(&rows));
+            if b % 3 == 0 {
+                assert_eq!(nested.delete(b), flat.delete(b));
+            }
+        }
+        assert_eq!(nested.bucket_count(), flat.bucket_count());
+        for region in [
+            Region::all(2),
+            Region::closed(vec![55.0, 1.0], vec![250.0, 3.0]),
+            Region::closed(vec![300.0, 0.0], vec![301.0, 4.0]),
+        ] {
+            let (mut a, mut b) = (vec![], vec![]);
+            nested.report(&region, &mut a);
+            flat.report(&region, &mut b);
+            assert_eq!(a, b);
+        }
     }
 }

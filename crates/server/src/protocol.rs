@@ -17,6 +17,7 @@ use dds_core::shard::GlobalId;
 use dds_core::telemetry::{bucket_bounds, HistogramSnapshot, QueryTrace, BUCKETS};
 use dds_geom::Rect;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deepest `And`/`Or` nesting a decoded expression may have (the decoder
 /// recurses, so unbounded nesting would be a remote stack overflow).
@@ -333,158 +334,131 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// Aggregated server counters, all monotone except the gauges
-/// (`sessions_active`, `n_shards`, `n_datasets`). Serialized as a
-/// count-prefixed `u64` list so a newer server can append fields without
-/// breaking an older client (unknown trailing fields are skipped).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// Declares the [`ServerStats`] fields once, in wire order. The list
+/// generates the public struct, its wire encoding, and the server's atomic
+/// twin [`StatsCounters`]; adding a counter is one line at the end.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Aggregated server counters, all monotone except the gauges
+        /// (`sessions_active`, `n_shards`, `n_datasets`). Serialized as a
+        /// count-prefixed `u64` list so a newer server can append fields
+        /// without breaking an older client (unknown trailing fields are
+        /// skipped).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl ServerStats {
+            /// The fields in wire order.
+            fn fields(&self) -> [u64; [$(stringify!($field)),*].len()] {
+                [$(self.$field),*]
+            }
+
+            /// Reads the fields in wire order (missing ones read as 0).
+            fn from_fields(f: &[u64]) -> Self {
+                let mut f = f.iter().copied();
+                ServerStats {
+                    $($field: f.next().unwrap_or_default(),)*
+                }
+            }
+        }
+
+        /// The server's live counters: one atomic per [`ServerStats`]
+        /// field. The fields the server reads from the engine's metrics
+        /// block and the buffer pool stay zero here.
+        #[derive(Debug, Default)]
+        pub(crate) struct StatsCounters {
+            $(pub(crate) $field: AtomicU64,)*
+        }
+
+        impl StatsCounters {
+            /// Every counter, loaded one at a time.
+            pub(crate) fn load(&self) -> ServerStats {
+                ServerStats {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+server_stats! {
     /// Frames received and parsed as requests (every opcode).
-    pub requests: u64,
+    requests,
     /// Single queries executed.
-    pub queries: u64,
+    queries,
     /// Batch queries executed.
-    pub batch_queries: u64,
+    batch_queries,
     /// Expressions across executed batches.
-    pub batch_exprs: u64,
-    /// Shard ingests executed (add + rebuild, successful or rejected).
-    pub admin_ops: u64,
+    batch_exprs,
+    /// Shard lifecycle ops executed (add, rebuild, split and merge;
+    /// successful or rejected).
+    admin_ops,
     /// Requests refused with [`Response::Busy`] (admission queue full).
-    pub busy_rejections: u64,
+    busy_rejections,
     /// Requests refused because the server was shutting down.
-    pub unavailable_rejections: u64,
+    unavailable_rejections,
     /// Frames that failed to decode (typed error answered).
-    pub wire_errors: u64,
+    wire_errors,
     /// Jobs accepted into the admission queue.
-    pub jobs_admitted: u64,
+    jobs_admitted,
     /// Jobs taken off the queue by an executor.
-    pub jobs_dequeued: u64,
+    jobs_dequeued,
     /// Jobs fully executed (their response was produced).
-    pub jobs_completed: u64,
+    jobs_completed,
     /// Payload bytes received (frame prefixes included).
-    pub bytes_in: u64,
+    bytes_in,
     /// Payload bytes sent (frame prefixes included).
-    pub bytes_out: u64,
+    bytes_out,
     /// Connections accepted over the server lifetime.
-    pub sessions_opened: u64,
-    /// Connections currently open.
-    pub sessions_active: u64,
-    /// Mask-cache hits across shards (`MaskCache` counters).
-    pub cache_hits: u64,
-    /// Mask-cache misses across shards.
-    pub cache_misses: u64,
-    /// Underlying index queries across shards.
-    pub index_queries: u64,
+    sessions_opened,
+    /// Connections currently open (a gauge).
+    sessions_active,
+    /// Mask-cache hits of the engine's query calls over its lifetime.
+    cache_hits,
+    /// Mask-cache misses of the engine's query calls over its lifetime.
+    cache_misses,
+    /// Underlying index queries the engine's query calls issued.
+    index_queries,
     /// (expression, shard) scatter units shard routing skipped with a
     /// zero mass bound.
-    pub shards_routed_past: u64,
-    /// Shards currently served.
-    pub n_shards: u64,
-    /// Datasets currently served.
-    pub n_datasets: u64,
+    shards_routed_past,
+    /// Shards currently served (a gauge).
+    n_shards,
+    /// Datasets currently served (a gauge).
+    n_datasets,
     /// Jobs whose execution panicked (answered with a typed `internal`
     /// error; the executor survives).
-    pub executor_panics: u64,
+    executor_panics,
     /// Work requests refused with a typed `throttled` error (the
     /// session's token bucket was empty).
-    pub sessions_throttled: u64,
+    sessions_throttled,
     /// Session buffers served from the [`crate::buffer::BufferPool`]
     /// instead of the allocator.
-    pub buffers_reused: u64,
+    buffers_reused,
     /// Shard splits committed over the engine lifetime.
-    pub shard_splits: u64,
+    shard_splits,
     /// Shard merges committed over the engine lifetime.
-    pub shard_merges: u64,
+    shard_merges,
     /// Sessions closed by the stall deadline
     /// (`ServerConfig::stall_timeout`): the peer sat mid-frame or
     /// mid-flush past the deadline and its slot was reclaimed.
-    pub sessions_reaped: u64,
+    sessions_reaped,
     /// Work requests recognized as retransmissions — a nonzero
     /// `request_id` the dedup window had already seen (whether the
     /// original was still in flight or already answered).
-    pub retries_attempted: u64,
+    retries_attempted,
     /// Retransmissions answered by **replaying** the recorded response
     /// instead of executing again — the duplicate ingests that did not
     /// happen. The newest counters are serialized **last**: the stats
     /// list extends by appending, so older clients keep decoding the
     /// prefix they know.
-    pub requests_deduped: u64,
+    requests_deduped,
     /// (expression, shard) scatter units shard routing skipped with a
     /// positive mass bound (disjoint from `shards_routed_past`).
     /// Appended after `requests_deduped` per the newest-last rule.
-    pub shards_routed_by_synopsis: u64,
-}
-
-impl ServerStats {
-    fn fields(&self) -> [u64; 30] {
-        [
-            self.requests,
-            self.queries,
-            self.batch_queries,
-            self.batch_exprs,
-            self.admin_ops,
-            self.busy_rejections,
-            self.unavailable_rejections,
-            self.wire_errors,
-            self.jobs_admitted,
-            self.jobs_dequeued,
-            self.jobs_completed,
-            self.bytes_in,
-            self.bytes_out,
-            self.sessions_opened,
-            self.sessions_active,
-            self.cache_hits,
-            self.cache_misses,
-            self.index_queries,
-            self.shards_routed_past,
-            self.n_shards,
-            self.n_datasets,
-            self.executor_panics,
-            self.sessions_throttled,
-            self.buffers_reused,
-            self.shard_splits,
-            self.shard_merges,
-            self.sessions_reaped,
-            self.retries_attempted,
-            self.requests_deduped,
-            self.shards_routed_by_synopsis,
-        ]
-    }
-
-    fn from_fields(f: &[u64]) -> Self {
-        ServerStats {
-            requests: f[0],
-            queries: f[1],
-            batch_queries: f[2],
-            batch_exprs: f[3],
-            admin_ops: f[4],
-            busy_rejections: f[5],
-            unavailable_rejections: f[6],
-            wire_errors: f[7],
-            jobs_admitted: f[8],
-            jobs_dequeued: f[9],
-            jobs_completed: f[10],
-            bytes_in: f[11],
-            bytes_out: f[12],
-            sessions_opened: f[13],
-            sessions_active: f[14],
-            cache_hits: f[15],
-            cache_misses: f[16],
-            index_queries: f[17],
-            shards_routed_past: f[18],
-            n_shards: f[19],
-            n_datasets: f[20],
-            executor_panics: f[21],
-            sessions_throttled: f[22],
-            buffers_reused: f[23],
-            shard_splits: f[24],
-            shard_merges: f[25],
-            sessions_reaped: f[26],
-            retries_attempted: f[27],
-            requests_deduped: f[28],
-            shards_routed_by_synopsis: f[29],
-        }
-    }
+    shards_routed_by_synopsis,
 }
 
 /// Number of histograms a metrics frame must carry, in this fixed order:

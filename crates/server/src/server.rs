@@ -45,8 +45,8 @@
 use crate::buffer::BufferPool;
 use crate::client::EngineResult;
 use crate::protocol::{
-    MetricsReport, Request, Response, ServerError, ServerErrorKind, ServerStats, MAX_SLEEP_MS,
-    PANIC_DRILL_MS,
+    MetricsReport, Request, Response, ServerError, ServerErrorKind, ServerStats, StatsCounters,
+    MAX_SLEEP_MS, PANIC_DRILL_MS,
 };
 use crate::reactor::{Interest, Reactor, Ready, Waker};
 use crate::wire::{
@@ -55,7 +55,7 @@ use crate::wire::{
 use dds_core::framework::{LogicalExpr, Repository};
 use dds_core::pool::BuildOptions;
 use dds_core::shard::{QueryPlan, QueryReport, ShardedEngine};
-use dds_core::telemetry::{QueryTrace, SlowQueryLog, StageTimings};
+use dds_core::telemetry::{EngineTelemetry, QueryTrace, SlowQueryLog, StageTimings};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
@@ -151,29 +151,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Internal counter block (the mutable half of [`ServerStats`]).
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    queries: AtomicU64,
-    batch_queries: AtomicU64,
-    batch_exprs: AtomicU64,
-    admin_ops: AtomicU64,
-    busy_rejections: AtomicU64,
-    unavailable_rejections: AtomicU64,
-    wire_errors: AtomicU64,
-    jobs_admitted: AtomicU64,
-    jobs_dequeued: AtomicU64,
-    jobs_completed: AtomicU64,
-    executor_panics: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    sessions_opened: AtomicU64,
-    sessions_active: AtomicU64,
-    sessions_throttled: AtomicU64,
-    sessions_reaped: AtomicU64,
-    retries_attempted: AtomicU64,
-    requests_deduped: AtomicU64,
+/// Adds one to a server counter.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Most request ids the dedup window remembers; beyond this the oldest
@@ -317,7 +297,12 @@ struct IoShared {
 /// State shared by every server thread.
 struct Shared {
     engine: RwLock<ShardedEngine>,
-    counters: Counters,
+    /// The engine's metrics block, cloned at [`DdsServer::serve`]: `Stats`
+    /// and `Metrics` read it without the engine lock, so an ingest holding
+    /// the write lock never stalls them.
+    engine_metrics: Arc<EngineTelemetry>,
+    /// The server's own counters.
+    counters: StatsCounters,
     cfg: ServerConfig,
     /// The bound listener address (signal_shutdown pokes it to unblock
     /// accept).
@@ -377,30 +362,11 @@ impl Shared {
         }
     }
 
+    /// The server counters plus the engine's metrics block; takes no
+    /// engine lock.
     fn stats(&self) -> ServerStats {
-        let c = &self.counters;
-        let engine = self.engine_read().stats_snapshot();
+        let engine = self.engine_metrics.stats();
         ServerStats {
-            requests: c.requests.load(Ordering::Relaxed),
-            queries: c.queries.load(Ordering::Relaxed),
-            batch_queries: c.batch_queries.load(Ordering::Relaxed),
-            batch_exprs: c.batch_exprs.load(Ordering::Relaxed),
-            admin_ops: c.admin_ops.load(Ordering::Relaxed),
-            busy_rejections: c.busy_rejections.load(Ordering::Relaxed),
-            unavailable_rejections: c.unavailable_rejections.load(Ordering::Relaxed),
-            wire_errors: c.wire_errors.load(Ordering::Relaxed),
-            jobs_admitted: c.jobs_admitted.load(Ordering::Relaxed),
-            jobs_dequeued: c.jobs_dequeued.load(Ordering::Relaxed),
-            jobs_completed: c.jobs_completed.load(Ordering::Relaxed),
-            executor_panics: c.executor_panics.load(Ordering::Relaxed),
-            bytes_in: c.bytes_in.load(Ordering::Relaxed),
-            bytes_out: c.bytes_out.load(Ordering::Relaxed),
-            sessions_opened: c.sessions_opened.load(Ordering::Relaxed),
-            sessions_active: c.sessions_active.load(Ordering::Relaxed),
-            sessions_throttled: c.sessions_throttled.load(Ordering::Relaxed),
-            sessions_reaped: c.sessions_reaped.load(Ordering::Relaxed),
-            retries_attempted: c.retries_attempted.load(Ordering::Relaxed),
-            requests_deduped: c.requests_deduped.load(Ordering::Relaxed),
             buffers_reused: self.buffer_pool.reused(),
             cache_hits: engine.cache_hits,
             cache_misses: engine.cache_misses,
@@ -411,22 +377,22 @@ impl Shared {
             n_datasets: engine.n_datasets,
             shard_splits: engine.splits,
             shard_merges: engine.merges,
+            ..self.counters.load()
         }
     }
 
     /// Assembles the [`Request::Metrics`] answer: snapshots of the
     /// server-side stage histograms, the engine's scatter-path
-    /// histograms, and the retained slow-query traces.
+    /// histograms, and the retained slow-query traces. Takes no engine
+    /// lock.
     fn metrics_report(&self) -> MetricsReport {
-        let engine = self.engine_read();
-        let engine_t = engine.telemetry();
         MetricsReport {
             decode: self.stages.decode.snapshot(),
             queue: self.stages.queue.snapshot(),
             execute: self.stages.execute.snapshot(),
             write: self.stages.write.snapshot(),
-            routing: engine_t.routing.snapshot(),
-            scatter: engine_t.scatter.snapshot(),
+            routing: self.engine_metrics.routing.snapshot(),
+            scatter: self.engine_metrics.scatter.snapshot(),
             slow_queries: self.slow_log.recent(),
         }
     }
@@ -479,8 +445,9 @@ impl DdsServer {
             cfg.slow_log_capacity,
         );
         let shared = Arc::new(Shared {
+            engine_metrics: Arc::clone(engine.telemetry()),
             engine: RwLock::new(engine),
-            counters: Counters::default(),
+            counters: StatsCounters::default(),
             cfg,
             local_addr,
             shutting_down: AtomicBool::new(false),
@@ -638,14 +605,8 @@ fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         let _ = stream.set_nodelay(true);
         let id = next_id;
         next_id += 1;
-        shared
-            .counters
-            .sessions_opened
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .sessions_active
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&shared.counters.sessions_opened);
+        bump(&shared.counters.sessions_active);
         let io = &shared.ios[(id % shared.ios.len() as u64) as usize];
         io.intake
             .lock()
@@ -855,10 +816,7 @@ fn io_loop(shared: &Arc<Shared>, io: &Arc<IoShared>, mut reactor: Reactor) {
                 && now.duration_since(s.last_progress) >= shared.cfg.stall_timeout
                 && !closed.contains(&i)
             {
-                shared
-                    .counters
-                    .sessions_reaped
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&shared.counters.sessions_reaped);
                 closed.push(i);
             }
         }
@@ -898,11 +856,11 @@ fn drive_session(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) -> D
                             // Header-level violation: the stream position
                             // cannot be trusted any more. Answer the
                             // typed error, then close.
-                            shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+                            bump(&shared.counters.wire_errors);
                             let e = WireError::FrameTooShort { len };
                             respond_enqueue(shared, s, &protocol_error(&e), true);
                         } else if len > shared.cfg.max_frame_len {
-                            shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+                            bump(&shared.counters.wire_errors);
                             let e = WireError::FrameTooLarge {
                                 len,
                                 max: shared.cfg.max_frame_len,
@@ -987,7 +945,7 @@ fn process_frame(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) {
         .counters
         .bytes_in
         .fetch_add(4 + s.read_buf.len() as u64, Ordering::Relaxed);
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+    bump(&shared.counters.requests);
     // Telemetry slot for this request (one in flight per session): the
     // stage nanos accumulate here until the response fully leaves the
     // socket, where `finish_response` turns them into a trace.
@@ -998,7 +956,7 @@ fn process_frame(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) {
     };
     let version = s.read_buf[0];
     if version != PROTOCOL_VERSION {
-        shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+        bump(&shared.counters.wire_errors);
         let e = WireError::UnsupportedVersion { got: version };
         respond_enqueue(shared, s, &protocol_error(&e), true);
         return;
@@ -1012,7 +970,7 @@ fn process_frame(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) {
         // Payload-level violation: the frame boundary was intact, so the
         // session can keep serving after the typed error.
         Err(e) => {
-            shared.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.wire_errors);
             respond_enqueue(shared, s, &protocol_error(&e), false);
             return;
         }
@@ -1035,19 +993,13 @@ fn process_frame(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) {
         }
         work => {
             if shared.shutting_down.load(Ordering::SeqCst) {
-                shared
-                    .counters
-                    .unavailable_rejections
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&shared.counters.unavailable_rejections);
                 respond_enqueue(shared, s, &unavailable(), false);
                 return;
             }
             if let Some(bucket) = &mut s.bucket {
                 if !bucket.try_take() {
-                    shared
-                        .counters
-                        .sessions_throttled
-                        .fetch_add(1, Ordering::Relaxed);
+                    bump(&shared.counters.sessions_throttled);
                     respond_enqueue(shared, s, &throttled(), false);
                     return;
                 }
@@ -1063,18 +1015,12 @@ fn process_frame(shared: &Arc<Shared>, io: &Arc<IoShared>, s: &mut Session) {
                 admitted_at: Instant::now(),
             }) {
                 Ok(()) => {
-                    shared
-                        .counters
-                        .jobs_admitted
-                        .fetch_add(1, Ordering::Relaxed);
+                    bump(&shared.counters.jobs_admitted);
                     s.state = SessionState::Awaiting;
                 }
                 Err(TrySendError::Full(job)) => {
                     job.reply.defuse();
-                    shared
-                        .counters
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
+                    bump(&shared.counters.busy_rejections);
                     respond_enqueue(shared, s, &Response::Busy, false);
                 }
                 Err(TrySendError::Disconnected(job)) => {
@@ -1272,10 +1218,7 @@ fn run_job(
 ) {
     let queue_ns = elapsed_ns(admitted_at);
     shared.stages.queue.record(queue_ns);
-    shared
-        .counters
-        .jobs_dequeued
-        .fetch_add(1, Ordering::Relaxed);
+    bump(&shared.counters.jobs_dequeued);
     // Dedup-capable ingests check the retry window first: a token the
     // server has already answered replays the recorded response without
     // touching the engine — the retried AddShard that must not
@@ -1289,18 +1232,9 @@ fn run_job(
             Some(DedupEntry::Done(resp)) => {
                 let resp = (**resp).clone();
                 drop(window);
-                shared
-                    .counters
-                    .retries_attempted
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .requests_deduped
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&shared.counters.retries_attempted);
+                bump(&shared.counters.requests_deduped);
+                bump(&shared.counters.jobs_completed);
                 reply.send(
                     resp,
                     JobTiming {
@@ -1312,14 +1246,8 @@ fn run_job(
             }
             Some(DedupEntry::InFlight) => {
                 drop(window);
-                shared
-                    .counters
-                    .retries_attempted
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
+                bump(&shared.counters.retries_attempted);
+                bump(&shared.counters.jobs_completed);
                 reply.send(
                     Response::Error(ServerError::new(
                         ServerErrorKind::Unavailable,
@@ -1362,10 +1290,7 @@ fn run_job(
             resp
         }
         Err(_) => {
-            shared
-                .counters
-                .executor_panics
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.executor_panics);
             if let Some(id) = dedup_id {
                 // Ingest is validate→build→commit: a panicking ingest
                 // committed nothing, so the retry must execute for real.
@@ -1386,10 +1311,7 @@ fn run_job(
             ))
         }
     };
-    shared
-        .counters
-        .jobs_completed
-        .fetch_add(1, Ordering::Relaxed);
+    bump(&shared.counters.jobs_completed);
     reply.send(resp, timing);
 }
 
@@ -1421,7 +1343,7 @@ fn run_queries(
 fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response {
     match req {
         Request::Query(expr) => {
-            shared.counters.queries.fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.queries);
             match run_queries(shared, std::slice::from_ref(&expr), report) {
                 Ok(mut answers) => {
                     Response::Hits(answers.pop().expect("one answer per expression"))
@@ -1430,10 +1352,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
             }
         }
         Request::QueryBatch(exprs) => {
-            shared
-                .counters
-                .batch_queries
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.batch_queries);
             shared
                 .counters
                 .batch_exprs
@@ -1445,7 +1364,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
             datasets,
             global_ids,
         } => {
-            shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.admin_ops);
             let repo = Repository::new(datasets);
             let mut engine = shared.engine_write();
             match engine.try_add_shard(&repo, &global_ids) {
@@ -1461,7 +1380,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
             datasets,
             global_ids,
         } => {
-            shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.admin_ops);
             let repo = Repository::new(datasets);
             let mut engine = shared.engine_write();
             match engine.try_rebuild_shard(shard as usize, &repo, &global_ids) {
@@ -1475,7 +1394,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
         // like a schema mismatch, hence the `invalid-query` kind (not
         // `ingest`, which is for ops shipping data).
         Request::SplitShard { shard, move_ids } => {
-            shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.admin_ops);
             let mut engine = shared.engine_write();
             match engine.try_split_shard(shard as usize, &move_ids) {
                 Ok(new_shard) => Response::ShardAdded {
@@ -1488,7 +1407,7 @@ fn execute(shared: &Shared, req: Request, report: &mut QueryReport) -> Response 
             }
         }
         Request::MergeShards { a, b } => {
-            shared.counters.admin_ops.fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.admin_ops);
             let mut engine = shared.engine_write();
             match engine.try_merge_shards(a as usize, b as usize) {
                 Ok(survivor) => Response::ShardAdded {
